@@ -444,8 +444,8 @@ func BenchmarkCostQueriesUncached(b *testing.B) { benchmarkCostQueries(b, false)
 
 // benchmarkGreedyDynamics runs greedy move dynamics from a star seed —
 // the BestSingleMove scan re-queries the mover's current cost and
-// speculatively evaluates candidates, which the cache's snapshot/restore
-// turns into hits for untouched sources.
+// evaluates candidates read-only against its cached row, leaving every
+// other source's row untouched.
 func benchmarkGreedyDynamics(b *testing.B, cached bool) {
 	n := 24
 	g := game.New(game.NewHost(gen.Points(4, n, 2, 10, 2)), 1.5)
@@ -656,12 +656,11 @@ func randomUMFL(nf, nc int) *facility.Instance {
 // ---- incremental-repair and pruned-scan benchmarks ----
 //
 // The greedy-dynamics hot path: BestSingleMove evaluates O(n²) candidate
-// moves, each via a speculative single-edge mutation. Before this PR the
-// cache invalidated wholesale on any edge change, so every candidate paid
-// a fresh Dijkstra; now cached rows are repaired in place across the move
-// and its undo (internal/graph's Ramalingam–Reps primitives) and the scan
-// skips candidates whose distance-gain bound cannot beat the running
-// best. The *Baseline benchmarks keep the exhaustive scan with caching
+// moves. An invalidate-everything cache would pay a fresh Dijkstra per
+// candidate; instead each candidate repairs a copy of the mover's cached
+// row across the move (internal/graph's Ramalingam–Reps primitives,
+// read-only) and the scan skips candidates whose distance-gain bound
+// cannot beat the running best. The *Baseline benchmarks keep the exhaustive scan with caching
 // off — each speculative evaluation recomputes from scratch, which is
 // what the invalidate-everything cache paid on this workload — and are
 // the ≥5x reference the CI benchdiff artifact records.

@@ -967,7 +967,8 @@ func registerScale() {
 					continue
 				}
 				m := game.Move{Agent: u, Kind: game.Buy, V: v}
-				if g.Improves(s.CostAfter(m), s.Cost(u)) {
+				cur := s.Cost(u) // warms u's row, which CostAfter then repairs a copy of
+				if g.Improves(s.CostAfter(m), cur) {
 					improving++
 				}
 			}

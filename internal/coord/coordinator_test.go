@@ -1,9 +1,11 @@
 package coord
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -298,5 +300,69 @@ func TestWorkerEnumerationMismatch(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("worker with mismatched enumeration was admitted")
+	}
+}
+
+// TestServerRejectsBadBodies: an oversize, malformed or trailing-garbage
+// /lease or /report body gets a 4xx and leaves the store and the
+// scheduler exactly as they were; the same report sent clean is then
+// accepted, so the rejections are about the framing alone.
+func TestServerRejectsBadBodies(t *testing.T) {
+	ref, _ := refRun(t, testExps())
+	dir := t.TempDir()
+	store, co, srv, addr := startService(t, dir, false, Options{})
+	defer store.Close()
+	defer srv.Close()
+
+	cl := &client{base: "http://" + addr, hc: http.DefaultClient}
+	var lr leaseResponse
+	if err := cl.call("POST", "/lease", leaseRequest{Shard: "s", Max: 2}, &lr); err != nil {
+		t.Fatal(err)
+	}
+	req := reportRequest{ID: lr.ID, Shard: "s"}
+	for _, seq := range lr.Cells {
+		req.Cells = append(req.Cells, json.RawMessage(sweep.CellJSON(ref.Cells[seq])))
+	}
+	report, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	post := func(path string, body []byte) int {
+		t.Helper()
+		resp, err := http.Post("http://"+addr+path, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	before := co.Status()
+	huge := []byte(`{"id": 1, "shard": "` + strings.Repeat("x", maxRequestBytes) + `", "cells": []}`)
+	for _, bad := range []struct {
+		path string
+		body []byte
+		want int
+	}{
+		{"/report", append(append([]byte(nil), report...), " {}"...), http.StatusBadRequest},
+		{"/report", report[:len(report)-1], http.StatusBadRequest},
+		{"/report", huge, http.StatusRequestEntityTooLarge},
+		{"/lease", []byte(`{"shard": "t", "max": `), http.StatusBadRequest},
+		{"/lease", []byte(`{"shard": "t", "max": 1} garbage`), http.StatusBadRequest},
+		{"/lease", huge, http.StatusRequestEntityTooLarge},
+	} {
+		if got := post(bad.path, bad.body); got != bad.want {
+			t.Errorf("%s with a %d-byte bad body: status %d, want %d", bad.path, len(bad.body), got, bad.want)
+		}
+		after := co.Status()
+		if len(store.DoneSeqs()) != 0 || after.Progress != before.Progress || len(after.Leases) != len(before.Leases) {
+			t.Fatalf("%s bad body changed the job: progress %+v -> %+v, leases %d -> %d, done %v",
+				bad.path, before.Progress, after.Progress, len(before.Leases), len(after.Leases), store.DoneSeqs())
+		}
+	}
+	if got := post("/report", report); got != http.StatusOK {
+		t.Fatalf("clean report: status %d", got)
+	}
+	if done := store.DoneSeqs(); len(done) != len(lr.Cells) {
+		t.Fatalf("clean report stored %v, want %v", done, lr.Cells)
 	}
 }

@@ -2,7 +2,9 @@ package coord
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"sync"
@@ -195,9 +197,31 @@ func writeJSON(w http.ResponseWriter, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
+// maxRequestBytes bounds a protocol request body. The largest request is
+// a /report of one lease's cells — at most 16 under the adaptive lease
+// policy, each one canonical cell line (about 1.5 KB for the largest
+// quick-sweep cell) — so 8 MiB leaves orders of magnitude of headroom
+// while keeping a runaway client from making the coordinator buffer an
+// unbounded body.
+const maxRequestBytes = 8 << 20
+
+// readJSON decodes exactly one JSON value from the request body into v.
+// An oversize body (413), a malformed value or trailing data after it
+// (400) is rejected before any handler state changes.
 func readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
+	err := dec.Decode(v)
+	if err == nil {
+		if _, tail := dec.Token(); tail != io.EOF {
+			err = fmt.Errorf("coord: trailing data after the JSON request body")
+		}
+	}
+	if err != nil {
+		status := http.StatusBadRequest
+		if tooBig := new(http.MaxBytesError); errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		http.Error(w, err.Error(), status)
 		return false
 	}
 	return true

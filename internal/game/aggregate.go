@@ -3,8 +3,8 @@ package game
 // Incremental distance-sum aggregates: every cached distance row carries
 // Σ_v t(u,v)·d(u,v) — the whole of DistCost(u) — maintained alongside the
 // row, so repeated cost queries against an unchanged network are O(1) and
-// a speculative move's cost evaluation pays only for the entries its
-// repair touched, not an O(n) re-summation.
+// a move's read-only evaluation (CostAfter) refolds only the blocks its
+// repair touched over the cached block sums, not an O(n) re-summation.
 //
 // Bit-equality with recomputation is a hard requirement (the sweep
 // engine's byte-identical results contract reaches through every cost
@@ -58,9 +58,22 @@ func (s *State) distTerm(u, v int, d float64) float64 {
 	return s.G.Rules().DistTerm(t, d)
 }
 
-// foldBlock folds the terms of row[lo:hi] in index order.
+// foldBlock folds the terms of row[lo:hi] in index order. Under uniform
+// traffic and SumRules every off-diagonal term is 1·d == d, and adding
+// the diagonal's exact 0 never changes a sum of non-negative terms, so a
+// plain ordered sum that skips the diagonal is bit-identical to the
+// general fold — without a Traffic call and an interface DistTerm call
+// per entry.
 func (s *State) foldBlock(u int, row []float64, lo, hi int) float64 {
 	acc := 0.0
+	if s.G.uniformSum() {
+		for v := lo; v < hi; v++ {
+			if v != u {
+				acc += row[v]
+			}
+		}
+		return acc
+	}
 	for v := lo; v < hi; v++ {
 		acc += s.distTerm(u, v, row[v])
 	}
@@ -100,60 +113,65 @@ func buildRowAgg(s *State, u int, row []float64) rowAgg {
 	return a
 }
 
-// beginAggMark arms the cache's dirty-block scratch and returns the mark
-// hook handed to the repair primitives: each touched row entry dirties
-// its block, deduplicated so repeated marks are free. Caller holds c.mu;
-// exactly one update may be in flight (mutation is single-threaded).
-func (c *distCache) beginAggMark() func(x int) {
-	c.aggDirty = c.aggDirty[:0]
-	return func(x int) {
-		b := x / aggBlock
-		if !c.aggDirtyFlag[b] {
-			c.aggDirtyFlag[b] = true
-			c.aggDirty = append(c.aggDirty, b)
+// refold recomputes the flagged blocks of row u's block sums from the
+// repaired row (clearing the flags) and returns the refolded total. The
+// total is identical to a from-scratch fold because every kept block sum
+// was itself a fold of unchanged entries. The flags come from a repair's
+// mark hook (markBlock): each touched entry flags its block.
+func (s *State) refold(u int, row, blocks []float64, dirty []bool) float64 {
+	total := 0.0
+	for b := range blocks {
+		if dirty[b] {
+			dirty[b] = false
+			lo := b * aggBlock
+			blocks[b] = s.foldBlock(u, row, lo, min(lo+aggBlock, len(row)))
 		}
+		total += blocks[b]
 	}
+	return total
 }
 
-// finishAggUpdate refreshes row i's aggregate after a successful repair:
-// dirty blocks recompute from the repaired row and the block sums refold.
-// An aggregate from a stale cost epoch (or a missing one) rebuilds
-// wholesale instead. Caller holds c.mu.
+// markBlock flags entry x's fold block in dirty.
+func markBlock(dirty []bool, x int) { dirty[x/aggBlock] = true }
+
+// finishAggUpdate refreshes row i's aggregate after a successful repair
+// whose marks flagged c.aggDirty: dirty blocks recompute from the
+// repaired row and the block sums refold. An aggregate from a stale cost
+// epoch (or a missing one) rebuilds wholesale instead. Caller holds c.mu.
 func (c *distCache) finishAggUpdate(s *State, i int, row []float64) {
 	a := &c.agg[i]
 	if !a.valid || a.epoch != s.G.costEpoch || len(a.blocks) != (len(row)+aggBlock-1)/aggBlock {
 		*a = buildRowAgg(s, i, row)
-	} else {
-		for _, b := range c.aggDirty {
-			lo := b * aggBlock
-			a.blocks[b] = s.foldBlock(i, row, lo, min(lo+aggBlock, len(row)))
-		}
-		a.total = foldBlocks(a.blocks)
+		clear(c.aggDirty)
+		return
 	}
-	c.clearAggScratch()
+	a.total = s.refold(i, row, a.blocks, c.aggDirty)
 }
 
-func (c *distCache) clearAggScratch() {
-	for _, b := range c.aggDirty {
-		c.aggDirtyFlag[b] = false
-	}
-	c.aggDirty = c.aggDirty[:0]
-}
-
-// aggTotal returns the maintained Σ t(u,·)·d(u,·) when row u is cached
-// and current, rebuilding the aggregate first if the traffic matrix or
-// the cost model changed since it was computed. countHit guards the stats counter:
-// DistCost probes the aggregate again after a row fill, and that second
-// probe answers from work the fill already counted.
-func (c *distCache) aggTotal(s *State, u int, countHit bool) (float64, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+// currentAggLocked returns row u's aggregate when the row is cached and
+// current, rebuilding it first if the traffic matrix or the cost model
+// changed since it was computed; nil otherwise. Caller holds c.mu.
+func (c *distCache) currentAggLocked(s *State, u int) *rowAgg {
 	if c.off || c.rows[u] == nil || c.rowPos[u] != c.head {
-		return 0, false
+		return nil
 	}
 	a := &c.agg[u]
 	if !a.valid || a.epoch != s.G.costEpoch {
 		*a = buildRowAgg(s, u, c.rows[u])
+	}
+	return a
+}
+
+// aggTotal returns the maintained Σ t(u,·)·d(u,·) when row u is cached
+// and current. countHit guards the stats counter: DistCost probes the
+// aggregate again after a row fill, and that second probe answers from
+// work the fill already counted.
+func (c *distCache) aggTotal(s *State, u int, countHit bool) (float64, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	a := c.currentAggLocked(s, u)
+	if a == nil {
+		return 0, false
 	}
 	if countHit {
 		c.stats.Hits++

@@ -25,13 +25,15 @@ import (
 // budget, are dropped and recomputed on demand. Bulk strategy
 // replacements bump: the log is discarded and every row expires.
 //
-// Positions also make speculative evaluation cheap to undo: CostAfter
-// snapshots the head, mutates, evaluates, exactly reverts the mutation
-// and calls restore, which rewinds the head to the snapshot — rows that
-// were current before the speculation never notice it, rows read during
-// it are batch-repaired across the leftover deltas (usually a net-zero
-// diff) and land back on the snapshot position, and the speculative log
-// suffix is dropped.
+// Move evaluation never goes through the log: CostAfter is read-only.
+// It copies the mover's current row into per-state scratch
+// (copyCurrentRow), repairs the copy across the move's edge diff — all
+// incident to the mover — against an overlay of the unmodified network
+// (graph.RepairRowOverlay), and refolds only the dirty aggregate blocks
+// over the row's cached block sums; a cold or stale mover row is never
+// filled in, the evaluation runs its own overlay Dijkstra instead. The
+// network, the log, every cached row and every row position stay exactly
+// as they were (see moves.go).
 //
 // Cached rows are capped (rowCacheCap) so the cache holds O(cap·n)
 // floats, not O(n²), at scale; a clock sweep evicts stale rows first.
@@ -65,27 +67,8 @@ type distCache struct {
 	avoid    [][][]float64 // avoid[u]: APSP of G(s) with vertex u removed
 	avoidPos []uint64
 
-	// Speculation bookkeeping: while a snapshot is outstanding, every row
-	// or matrix whose position is (re)assigned is recorded so restore can
-	// fix up exactly the entries the speculation touched instead of
-	// scanning all n, and the first time a row is repaired inside the
-	// window its pre-repair contents are journaled (one memcopy) so
-	// restore can swap them back instead of repairing in reverse — on
-	// tie-heavy hosts the reverse removal repair routinely blows its
-	// affected-set budget and would cost a fresh Dijkstra per speculative
-	// candidate. Overlapping snapshots (not produced by CostAfter, but
-	// tolerated) drop the journals and degrade to a full scan.
-	specDepth   int
-	specOverlap bool
-	restoring   bool
-	specRows    []int
-	specAvoid   []int
-	specSaved   []rowJournal
-	rowPool     [][]float64 // spare row buffers recycled through the journal
-
-	// Dirty-block scratch for aggregate maintenance (see aggregate.go).
-	aggDirty     []int
-	aggDirtyFlag []bool
+	// Dirty-block flags for aggregate maintenance (see aggregate.go).
+	aggDirty []bool
 
 	stats CacheStats
 
@@ -120,7 +103,7 @@ type CacheStats struct {
 	Capacity int
 }
 
-// CacheStats returns a snapshot of the distance cache's event counters.
+// CacheStats returns a copy of the distance cache's event counters.
 func (s *State) CacheStats() CacheStats {
 	s.cache.mu.Lock()
 	defer s.cache.mu.Unlock()
@@ -134,16 +117,6 @@ type edgeDelta struct {
 	u, v int
 	w    float64
 	add  bool
-}
-
-// rowJournal is one row's pre-speculation state: the contents and
-// aggregate it had at position pos, saved before the speculation's first
-// repair touched it.
-type rowJournal struct {
-	i   int
-	pos uint64
-	row []float64
-	agg rowAgg
 }
 
 // maxPendingDeltas bounds the delta log. A row further behind than the
@@ -179,14 +152,14 @@ var rowCacheCap = func(n int) int {
 
 func newDistCache(n int, off bool) *distCache {
 	return &distCache{
-		rows:         make([][]float64, n),
-		rowPos:       make([]uint64, n),
-		agg:          make([]rowAgg, n),
-		cap:          rowCacheCap(n),
-		avoid:        make([][][]float64, n),
-		avoidPos:     make([]uint64, n),
-		aggDirtyFlag: make([]bool, (n+aggBlock-1)/aggBlock),
-		off:          off,
+		rows:     make([][]float64, n),
+		rowPos:   make([]uint64, n),
+		agg:      make([]rowAgg, n),
+		cap:      rowCacheCap(n),
+		avoid:    make([][][]float64, n),
+		avoidPos: make([]uint64, n),
+		aggDirty: make([]bool, (n+aggBlock-1)/aggBlock),
+		off:      off,
 	}
 }
 
@@ -224,10 +197,10 @@ var repairBudget = graph.DefaultRepairBudget
 
 // pendingDiff collapses the logged deltas after position pos into the net
 // edge difference between the network at pos and the current network: a
-// pair flipped an even number of times cancels entirely (e.g. the
-// apply/undo pair of a speculative move), an odd number of times appears
-// once, on the side of its final flip. Order follows first appearance in
-// the log, keeping replay deterministic. Caller holds c.mu; pos must be
+// pair flipped an even number of times cancels entirely (e.g. a move and
+// its undo), an odd number of times appears once, on the side of its
+// final flip. Order follows first appearance in the log, keeping replay
+// deterministic. Caller holds c.mu; pos must be
 // within the log's horizon (pos >= base).
 func (c *distCache) pendingDiff(pos uint64) (removed, added []graph.Edge) {
 	type flip struct {
@@ -269,11 +242,9 @@ func (c *distCache) pendingDiff(pos uint64) (removed, added []graph.Edge) {
 func (c *distCache) replayRowLocked(s *State, i int) bool {
 	removed, added := c.pendingDiff(c.rowPos[i])
 	if len(removed)+len(added) > 0 {
-		c.journalRowLocked(i)
 		row := c.rows[i]
-		mark := c.beginAggMark()
+		mark := func(x int) { markBlock(c.aggDirty, x) }
 		if !s.net.RepairRowBatch(row, i, removed, added, repairBudget(len(c.rows)), mark) {
-			c.clearAggScratch()
 			c.dropRowLocked(i)
 			c.stats.RepairRefusals++
 			return false
@@ -281,48 +252,8 @@ func (c *distCache) replayRowLocked(s *State, i int) bool {
 		c.stats.BatchRepairs++
 		c.finishAggUpdate(s, i, row)
 	}
-	c.setRowPosLocked(i, c.head)
+	c.rowPos[i] = c.head
 	return true
-}
-
-// journalRowLocked saves row i's current contents and aggregate the
-// first time a speculation window is about to repair it, so restore can
-// swap the pre-speculation state back in O(1).
-func (c *distCache) journalRowLocked(i int) {
-	if c.specDepth == 0 || c.restoring || c.specOverlap {
-		return
-	}
-	for _, j := range c.specSaved {
-		if j.i == i {
-			return // first save wins: it is the pre-window state
-		}
-	}
-	a := c.agg[i]
-	a.blocks = append([]float64(nil), a.blocks...)
-	buf := c.getRowBufLocked(len(c.rows[i]))
-	copy(buf, c.rows[i])
-	c.specSaved = append(c.specSaved, rowJournal{
-		i:   i,
-		pos: c.rowPos[i],
-		row: buf,
-		agg: a,
-	})
-}
-
-func (c *distCache) getRowBufLocked(n int) []float64 {
-	if k := len(c.rowPool); k > 0 {
-		buf := c.rowPool[k-1]
-		c.rowPool = c.rowPool[:k-1]
-		return buf[:n]
-	}
-	return make([]float64, n)
-}
-
-func (c *distCache) setRowPosLocked(i int, pos uint64) {
-	c.rowPos[i] = pos
-	if c.specDepth > 0 && !c.restoring {
-		c.specRows = append(c.specRows, i)
-	}
 }
 
 func (c *distCache) dropRowLocked(i int) {
@@ -344,7 +275,7 @@ func (c *distCache) insertRowLocked(s *State, i int, row []float64, pos uint64) 
 	}
 	c.rows[i] = row
 	c.agg[i] = buildRowAgg(s, i, row)
-	c.setRowPosLocked(i, pos)
+	c.rowPos[i] = pos
 }
 
 // evictOneLocked drops one cached row (never keep), preferring stale rows
@@ -370,109 +301,6 @@ func (c *distCache) evictOneLocked(keep int) {
 			return
 		}
 	}
-}
-
-// snapshot opens a speculation window and returns the current head
-// position for a later restore.
-func (c *distCache) snapshot() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.specDepth++
-	if c.specDepth > 1 {
-		c.specOverlap = true
-		c.specSaved = c.specSaved[:0] // ambiguous across windows: fall back to replay
-	}
-	return c.head
-}
-
-// restore declares the network identical to what it was at snapshot time
-// (the caller has exactly undone its speculative mutation). Rows that
-// were current at the snapshot were never touched and stay valid for
-// free. Rows read or computed during the speculation are batch-repaired
-// across whatever deltas still separate them from the current network —
-// for the apply/undo pair of a single speculative move the net diff is
-// empty, so the repair is a free re-stamp — and land back on the
-// snapshot position. The speculative log suffix is then dropped and the
-// head rewound, so speculation leaves no trace in the log.
-func (c *distCache) restore(s *State, snap uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.restoring = true
-	// Journaled rows swap their pre-speculation contents back: O(1), no
-	// reverse repair. (A journal can carry a mid-window position if the
-	// row was first re-stamped across an empty diff; those fall through
-	// to the generic replay below.)
-	for _, j := range c.specSaved {
-		if j.pos > snap {
-			c.rowPool = append(c.rowPool, j.row)
-			continue
-		}
-		if old := c.rows[j.i]; old == nil {
-			c.cached++ // resurrecting a row the window dropped
-		} else {
-			c.rowPool = append(c.rowPool, old)
-		}
-		c.rows[j.i] = j.row
-		c.agg[j.i] = j.agg
-		c.rowPos[j.i] = j.pos
-	}
-	c.specSaved = c.specSaved[:0]
-	rows, avoids := c.specRows, c.specAvoid
-	if c.specOverlap {
-		rows, avoids = seq(len(c.rows)), seq(len(c.avoid))
-	}
-	for _, i := range rows {
-		if c.rows[i] == nil || c.rowPos[i] <= snap {
-			continue
-		}
-		if c.rowPos[i] < c.head {
-			// A row stranded mid-speculation without a journal: bring it
-			// to the current (= snapshot) network by the same batch
-			// repair its next read would have run, before the speculative
-			// deltas are dropped. A refusal drops the row, losing only
-			// warmth.
-			if c.rowPos[i] < c.base || !c.replayRowLocked(s, i) {
-				c.dropRowLocked(i)
-				continue
-			}
-		}
-		if c.rowPos[i] == c.head {
-			c.rowPos[i] = snap
-		}
-	}
-	for _, i := range avoids {
-		if c.avoid[i] == nil || c.avoidPos[i] <= snap {
-			continue
-		}
-		if c.avoidPos[i] == c.head {
-			c.avoidPos[i] = snap
-		} else {
-			c.avoid[i] = nil
-		}
-	}
-	// Drop the speculative log suffix and rewind.
-	if snap >= c.base {
-		c.log = c.log[:snap-c.base]
-	} else {
-		c.log = c.log[:0]
-		c.base = snap
-	}
-	c.head = snap
-	c.restoring = false
-	c.specDepth--
-	if c.specDepth == 0 {
-		c.specRows = c.specRows[:0]
-		c.specAvoid = c.specAvoid[:0]
-		c.specOverlap = false
-	}
-}
-
-func seq(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i
-	}
-	return out
 }
 
 // Dist returns shortest-path distances from src in G(s), memoized until
@@ -519,6 +347,28 @@ func (s *State) Dist(src int) []float64 {
 	return row
 }
 
+// copyCurrentRow copies source u's cached row and its aggregate block
+// sums into row and blocks when the row is current. It never replays,
+// computes or publishes a row: ok is false — counted as a miss — when
+// the row is cold or stale (or caching is off, uncounted), and the
+// caller then runs its own Dijkstra.
+func (s *State) copyCurrentRow(u int, row, blocks []float64) (ok bool) {
+	c := s.cache
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	a := c.currentAggLocked(s, u)
+	if a == nil {
+		if !c.off {
+			c.stats.Misses++
+		}
+		return false
+	}
+	copy(row, c.rows[u])
+	copy(blocks, a.blocks)
+	c.stats.Hits++
+	return true
+}
+
 // APSPAvoiding returns all-pairs shortest paths in G(s) with vertex
 // `avoid` (and its incident edges) removed — the best-response
 // reduction's distance input — memoized until the network next changes.
@@ -545,9 +395,6 @@ func (s *State) APSPAvoiding(avoid int) [][]float64 {
 	if c.head == pos {
 		c.avoid[avoid] = m
 		c.avoidPos[avoid] = pos
-		if c.specDepth > 0 && !c.restoring {
-			c.specAvoid = append(c.specAvoid, avoid)
-		}
 	}
 	c.mu.Unlock()
 	return m

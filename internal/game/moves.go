@@ -3,9 +3,11 @@ package game
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"gncg/internal/bitset"
+	"gncg/internal/graph"
 )
 
 // MoveKind enumerates the single-edge moves of the paper's greedy
@@ -53,6 +55,12 @@ func (m Move) String() string {
 // allowed).
 func (m Move) NewStrategy(cur bitset.Set) bitset.Set {
 	strat := cur.Clone()
+	m.edit(cur, strat)
+	return strat
+}
+
+// edit applies m to strat, which holds a copy of cur.
+func (m Move) edit(cur, strat bitset.Set) {
 	switch m.Kind {
 	case Buy:
 		m.checkEndpoint(m.V)
@@ -68,7 +76,6 @@ func (m Move) NewStrategy(cur bitset.Set) bitset.Set {
 	default:
 		panic("game: invalid move kind")
 	}
-	return strat
 }
 
 func (m Move) checkEndpoint(v int) {
@@ -93,18 +100,87 @@ func (s *State) Apply(m Move) {
 	s.SetStrategy(m.Agent, m.NewStrategy(s.P.S[m.Agent]))
 }
 
-// CostAfter evaluates the mover's cost after the move without leaving the
-// state mutated. The speculative mutation is exactly undone, so distances
-// cached before the call are revalidated afterwards (cache.restore) and
-// surrounding scans pay only for the speculative network itself.
+// CostAfter evaluates the mover's cost after the move without mutating
+// anything: the network, the profile, the distance cache's delta log,
+// its rows and their positions are all left as they were. The
+// hypothetical strategy is priced by the cost model directly
+// (Rules.StrategyCost). The distance side copies the mover's current row
+// into per-state scratch and repairs the copy across the move's edge
+// diff — flipped exactly as SetStrategy would flip it — against an
+// overlay of the unmodified network (graph.RepairRowOverlay), then
+// refolds only the aggregate blocks the repair touched over the row's
+// cached block sums. A cold or stale row (scans read Cost(u) first, so
+// the mover's row is normally current), a refused removal repair, or a
+// state with caching off runs a Dijkstra over the same overlay instead.
+// Every path yields exactly the row a fresh Dijkstra on the moved network
+// would, folded in the aggregates' fixed shape, and prices the strategy
+// with the same fold as EdgeCost — so the result is bit-identical to
+// applying the move and calling Cost, with no tolerance anywhere.
+//
+// CostAfter panics on malformed moves, with Move.NewStrategy's contract.
+// Its scratch is per state, so a state runs one evaluation at a time,
+// like any other single-threaded use.
 func (s *State) CostAfter(m Move) float64 {
-	old := s.P.S[m.Agent].Clone()
-	snap := s.cache.snapshot()
-	s.Apply(m)
-	c := s.Cost(m.Agent)
-	s.SetStrategy(m.Agent, old)
-	s.cache.restore(s, snap)
-	return c
+	u := m.Agent
+	e := s.evalScratch()
+	cur := s.P.S[u]
+	e.strat.Clear()
+	e.strat.Union(cur)
+	m.edit(cur, e.strat)
+	e.flips = s.strategyFlips(u, cur, e.strat, e.flips[:0])
+	e.removed, e.added = e.removed[:0], e.added[:0]
+	for _, f := range e.flips {
+		if f.add {
+			e.added = append(e.added, graph.Edge{U: u, V: f.v, W: f.w})
+		} else {
+			e.removed = append(e.removed, graph.Edge{U: u, V: f.v, W: f.w})
+		}
+	}
+	return s.G.Rules().StrategyCost(s.G, u, e.strat) + s.distCostOverlay(u, e)
+}
+
+// evalScratch is CostAfter's working memory: the mover's hypothetical
+// strategy and edge diff, and private copies of its distance row and
+// aggregate block sums with per-block dirty flags (set by mark). A state
+// allocates it on its first evaluation — never in NewState or Clone —
+// and reuses it after.
+type evalScratch struct {
+	strat          bitset.Set
+	flips          []edgeFlip
+	removed, added []graph.Edge
+	row, blocks    []float64
+	dirty          []bool
+	mark           func(x int)
+}
+
+func (s *State) evalScratch() *evalScratch {
+	if s.eval == nil {
+		n, nb := s.G.N(), (s.G.N()+aggBlock-1)/aggBlock
+		e := &evalScratch{
+			strat:   bitset.New(n),
+			flips:   make([]edgeFlip, 0, 2),
+			removed: make([]graph.Edge, 0, 2),
+			added:   make([]graph.Edge, 0, 2),
+			row:     make([]float64, n),
+			blocks:  make([]float64, nb),
+			dirty:   make([]bool, nb),
+		}
+		e.mark = func(x int) { markBlock(e.dirty, x) }
+		s.eval = e
+	}
+	return s.eval
+}
+
+// distCostOverlay returns DistCost(u) in the network with e's edge diff
+// (all incident to u) applied, without applying it.
+func (s *State) distCostOverlay(u int, e *evalScratch) float64 {
+	row := e.row
+	if s.copyCurrentRow(u, row, e.blocks) &&
+		s.net.RepairRowOverlay(row, u, e.removed, e.added, repairBudget(len(row)), e.mark) {
+		return s.refold(u, row, e.blocks, e.dirty)
+	}
+	s.net.DijkstraOverlay(row, u, e.removed, e.added)
+	return s.foldDistCost(u, row)
 }
 
 // CandidateMoves enumerates every legal single-edge move for agent u in
@@ -409,7 +485,21 @@ func (pb *moveBounds) ensureSorted() {
 		return
 	}
 	pairs := pb.pairs
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i].d < pairs[j].d })
+	// Ties on d break on t, so the prefix sums below never depend on the
+	// sort algorithm's order among equal distances.
+	slices.SortFunc(pairs, func(a, b distDemand) int {
+		switch {
+		case a.d < b.d:
+			return -1
+		case a.d > b.d:
+			return 1
+		case a.t < b.t:
+			return -1
+		case a.t > b.t:
+			return 1
+		}
+		return 0
+	})
 	pb.ds = make([]float64, len(pairs))
 	pb.std = make([]float64, len(pairs)+1)
 	pb.st = make([]float64, len(pairs)+1)

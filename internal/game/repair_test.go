@@ -137,7 +137,7 @@ func runRepairCorpus(t *testing.T, flavor string, seeds int64) {
 			switch rng.Intn(4) {
 			case 0: // apply and keep
 				s.Apply(m)
-			case 1: // speculative evaluation (exact undo inside)
+			case 1: // read-only speculative evaluation
 				_ = s.CostAfter(m)
 			case 2: // apply, then undo via SetStrategy
 				old := s.P.S[u].Clone()
@@ -167,9 +167,9 @@ func TestRepairedRowsBitEqualFreshDijkstra(t *testing.T) {
 }
 
 // TestRepairBudgetFallbackPath forces every removal repair over budget,
-// so the cache's fallback branch — rows dropped to a dead stamp, lazy
-// recomputation, and restore()'s handling of rows stranded on
-// intermediate versions mid-speculation — actually executes. The default
+// so the fallback branches — cached rows dropped and lazily recomputed,
+// and CostAfter's overlay Dijkstra after a refused overlay repair —
+// actually execute. The default
 // budget (16 + n/4) can never be exceeded on the corpus's small graphs,
 // which would otherwise leave this interplay untested. Deliberately not
 // parallel: it swaps the package-level budget hook.
@@ -279,8 +279,8 @@ func TestSetStrategyTouchesOnlyDiff(t *testing.T) {
 	}
 	s.touched = 0
 	_ = s.CostAfter(Move{Agent: 12, Kind: Buy, V: 77})
-	if s.touched != 2 { // one flip forward, one flip back
-		t.Fatalf("speculative buy touched %d vertices, want 2", s.touched)
+	if s.touched != 1 { // one read-only diff walk, nothing applied or undone
+		t.Fatalf("speculative buy touched %d vertices, want 1", s.touched)
 	}
 }
 

@@ -49,9 +49,11 @@ type Rules interface {
 	// the value the sweep engine's model axis carries.
 	Name() string
 
-	// StrategyCost returns what agent u pays for its current strategy
-	// S_u (the edge-cost side of u's cost; distances are separate).
-	StrategyCost(s *State, u int) float64
+	// StrategyCost returns what agent u pays for strategy strat on game
+	// g (the edge-cost side of u's cost; distances are separate): its
+	// current strategy for State.EdgeCost, a hypothetical one for
+	// State.CostAfter.
+	StrategyCost(g *Game, u int, strat bitset.Set) float64
 
 	// DistTerm returns one pair's distance-cost contribution given
 	// demand t > 0 and network distance d. Callers guard the diagonal
@@ -103,14 +105,14 @@ type SumRules struct{}
 // Name returns "sum".
 func (SumRules) Name() string { return "sum" }
 
-// StrategyCost returns α·w(u,S_u): the owned weights fold first, the
+// StrategyCost returns α·w(u,strat): the owned weights fold first, the
 // single multiplication by α comes last. The order is load-bearing —
 // α·Σw and Σ(α·w) differ by ulps, and this fold shape is the one the
 // byte-identity contract pins.
-func (SumRules) StrategyCost(s *State, u int) float64 {
+func (SumRules) StrategyCost(g *Game, u int, strat bitset.Set) float64 {
 	total := 0.0
-	s.P.S[u].ForEach(func(v int) { total += s.hostWeight(u, v) })
-	return s.G.Alpha * total
+	strat.ForEach(func(v int) { total += g.Host.Weight(u, v) })
+	return g.Alpha * total
 }
 
 // DistTerm returns t·d.
@@ -144,6 +146,16 @@ func (g *Game) Rules() Rules {
 		return SumRules{}
 	}
 	return g.rules
+}
+
+// uniformSum reports whether the game is the paper's plain model:
+// uniform traffic under SumRules, where every distance term is d itself.
+func (g *Game) uniformSum() bool {
+	if g.traffic != nil {
+		return false
+	}
+	_, sum := g.Rules().(SumRules)
+	return sum
 }
 
 // SetRules installs a cost model on the game; nil restores the default

@@ -20,10 +20,14 @@ type State struct {
 	net   *graph.Graph
 	cache *distCache
 
-	// touched counts vertices examined by SetStrategy's diff walk. It is
-	// a white-box regression guard: a single-edge move must do O(Δ) work,
-	// not rescan all n vertices (see TestSetStrategyTouchesOnlyDiff).
+	// touched counts vertices examined by the strategy diff walk
+	// (strategyFlips). It is a white-box regression guard: a single-edge
+	// move must do O(Δ) work, not rescan all n vertices (see
+	// TestSetStrategyTouchesOnlyDiff).
 	touched int
+
+	// eval is CostAfter's scratch, allocated on first use (moves.go).
+	eval *evalScratch
 
 	// scan accumulates best-response scan telemetry (see candidates.go);
 	// candBuf is the reused scratch buffer for candidate-source queries.
@@ -98,20 +102,7 @@ func (s *State) SetStrategy(u int, strat bitset.Set) {
 	old := s.P.S[u]
 	next := strat.Clone()
 	s.P.S[u] = next
-	var flips []edgeFlip
-	old.ForEachSymDiff(next, func(v int) {
-		s.touched++
-		if v == u {
-			return
-		}
-		want := next.Has(v) || s.P.S[v].Has(u)
-		switch has := s.net.HasEdge(u, v); {
-		case want && !has:
-			flips = append(flips, edgeFlip{v, true, s.hostWeight(u, v)})
-		case !want && has:
-			flips = append(flips, edgeFlip{v, false, s.net.EdgeWeight(u, v)})
-		}
-	})
+	flips := s.strategyFlips(u, old, next, nil)
 	switch {
 	case len(flips) == 0:
 		// Pure ownership change: every distance is intact.
@@ -136,10 +127,33 @@ func (s *State) SetStrategy(u int, strat bitset.Set) {
 	}
 }
 
+// strategyFlips appends to flips the network edges that replacing agent
+// u's strategy old with next toggles. A pair's edge exists iff either
+// endpoint buys it, so only symmetric-difference pairs whose existence
+// actually changes flip: a doubly-owned edge survives one owner's
+// deletion, and buying an edge the other endpoint owns adds nothing.
+// SetStrategy applies the flips; CostAfter evaluates them read-only.
+func (s *State) strategyFlips(u int, old, next bitset.Set, flips []edgeFlip) []edgeFlip {
+	old.ForEachSymDiff(next, func(v int) {
+		s.touched++
+		if v == u {
+			return
+		}
+		want := next.Has(v) || s.P.S[v].Has(u)
+		switch has := s.net.HasEdge(u, v); {
+		case want && !has:
+			flips = append(flips, edgeFlip{v, true, s.hostWeight(u, v)})
+		case !want && has:
+			flips = append(flips, edgeFlip{v, false, s.net.EdgeWeight(u, v)})
+		}
+	})
+	return flips
+}
+
 // EdgeCost returns what agent u pays for its purchases under the game's
 // cost model: α·w(u,S_u) in the paper's default SumRules.
 func (s *State) EdgeCost(u int) float64 {
-	return s.G.Rules().StrategyCost(s, u)
+	return s.G.Rules().StrategyCost(s.G, u, s.P.S[u])
 }
 
 // DistCost returns Σ_v t(u,v)·d_{G(s)}(u,v), where t is the game's

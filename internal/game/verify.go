@@ -172,8 +172,8 @@ type agentVerdict struct {
 // The entry point is read-only: s itself is never mutated. Each worker
 // owns a contiguous block of agents (parallel.Blocks, a deterministic
 // partition) and verifies them against its own private clone of the
-// state, whose speculative distance cache (CostAfter's snapshot/rewind
-// contract) is reused across the whole block without per-check cloning.
+// state, whose distance cache warms across the whole block (CostAfter
+// is read-only, so no per-check cloning is needed).
 // Per-agent verdicts depend only on the frozen state, never on worker
 // count or scheduling, and fold into the result in fixed agent order —
 // so the returned VerifyResult is identical for any Workers setting,
@@ -227,7 +227,7 @@ func verifyAgent(work *State, u int, opt VerifyOptions) (v agentVerdict) {
 			// deletions remain, and there are at most |S_u| of them.
 			// Feasibility-gate them exactly as the full scan would.
 			r := work.G.Rules()
-			work.P.S[u].Clone().ForEach(func(x int) {
+			work.P.S[u].ForEach(func(x int) {
 				if v.improving {
 					return
 				}

@@ -1,26 +1,30 @@
 package graph
 
-import "math"
+import (
+	"math"
+	"sync"
+)
 
 // Dynamic single-source shortest-path repair, after Ramalingam & Reps
-// (1996): when one edge changes, a previously computed Dijkstra row can be
-// repaired by touching only the vertices whose distance actually changed,
-// instead of being recomputed from scratch. This is the primitive behind
-// the game engine's incremental distance cache — a single buy/delete/swap
-// move perturbs one or two edges of the created network, so the per-source
-// rows survive speculation (CostAfter) and dynamics at a fraction of the
-// full-Dijkstra price.
+// (1996): when a few edges change, a previously computed Dijkstra row can
+// be repaired by touching only the vertices whose distance actually
+// changed, instead of being recomputed from scratch. This is the
+// primitive behind the game engine's distance cache (lazy replay of a
+// delta log, RepairRowBatch) and its read-only move evaluation (a single
+// buy/delete/swap perturbs one or two edges at the mover, repaired on a
+// copy of the mover's row against an overlay of the unmodified network,
+// RepairRowOverlay).
 //
-// Both repair entry points keep the row bit-identical to what a fresh
-// Dijkstra on the mutated graph would produce: repaired values are minima
-// over exactly the same left-to-right float path sums that Dijkstra's
-// dynamic program explores, and untouched values are proven unchanged (an
-// edge insertion only relaxes, and a deletion can only affect vertices
-// whose every tight predecessor chain crossed the deleted edge).
+// Both entry points keep the row bit-identical to what a fresh Dijkstra
+// on the edited graph would produce: repaired values are minima over
+// exactly the same left-to-right float path sums that Dijkstra's dynamic
+// program explores, and untouched values are proven unchanged (an edge
+// insertion only relaxes, and a deletion can only affect vertices whose
+// every tight predecessor chain crossed the deleted edge).
 //
 // The deletion side is output-sensitive but not worst-case better than
 // Dijkstra: on graphs with many equal-length ties the potentially-affected
-// set can balloon, so RepairRowRemove takes a budget and reports failure
+// set can balloon, so removal repair takes a budget and reports failure
 // once the set exceeds it, leaving the row untouched for the caller to
 // recompute (or discard). DefaultRepairBudget is the threshold used by the
 // game's distance cache.
@@ -31,46 +35,18 @@ import "math"
 // roughly n/4 the repair's bookkeeping stops paying for itself.
 func DefaultRepairBudget(n int) int { return 16 + n/4 }
 
-// RepairRowAdd repairs the shortest-path row dist (valid for g before the
-// undirected edge (u,v,w) was inserted) so it is valid for g after the
-// insertion; g must already contain the edge. Distances only decrease; the
-// repair seeds a Dijkstra wavefront from whichever endpoints the new edge
-// improves and relaxes outward, touching only improved vertices. It
-// returns the number of entries that changed.
-//
-// Inserting an edge with +Inf weight (an unbuyable host pair) changes no
-// distance and returns 0 immediately. The same routine also repairs a
-// weight decrease of an existing edge.
-func (g *Graph) RepairRowAdd(dist []float64, u, v int, w float64) int {
-	var touched map[int]bool // lazily allocated: the common case is no change
-	g.RepairRowAddMarked(dist, u, v, w, func(x int) {
-		if touched == nil {
-			touched = make(map[int]bool, 8)
-		}
-		touched[x] = true
-	})
-	return len(touched)
-}
-
-// RepairRowAddMarked is RepairRowAdd with a change hook: mark(x) fires
-// every time dist[x] is lowered, so callers maintaining derived state
-// (e.g. the game cache's distance-sum aggregates) learn exactly which
-// entries moved, in O(touched). A vertex that improves repeatedly during
-// the wavefront fires repeatedly — mark must be idempotent per vertex.
-func (g *Graph) RepairRowAddMarked(dist []float64, u, v int, w float64, mark func(x int)) {
-	g.repairAddBatch(dist, []Edge{{U: u, V: v, W: w}}, mark)
-}
-
-// repairAddBatch repairs dist (valid for g before the added edges were
-// inserted) across the simultaneous insertion of all of them: every
-// improvement any new edge enables seeds one shared wavefront, which then
-// relaxes in priority order exactly as Dijkstra would — so the repaired
-// values are the same left-to-right float path sums a fresh run computes.
+// repairAddBatch repairs dist across the simultaneous insertion of the
+// added edges: every improvement any new edge enables seeds one shared
+// wavefront, which then relaxes in priority order exactly as Dijkstra
+// would — so the repaired values are the same left-to-right float path
+// sums a fresh run computes. The wavefront walks g's adjacency, so g must
+// contain every edge the edited network relies on beyond the added ones
+// (RepairRowBatch: g is the final graph; RepairRowOverlay: the added
+// edges are absent from g but incident to the source, which no
+// relaxation ever improves, so they are only needed as seeds).
 func (g *Graph) repairAddBatch(dist []float64, added []Edge, mark func(x int)) {
-	if mark == nil {
-		mark = func(int) {}
-	}
-	h := newHeap(8)
+	h := wavefrontPool.Get().(*heap)
+	defer wavefrontPool.Put(h)
 	for _, e := range added {
 		if math.IsInf(e.W, 1) {
 			continue
@@ -104,6 +80,12 @@ func (g *Graph) repairAddBatch(dist []float64, added []Edge, mark func(x int)) {
 	}
 }
 
+// wavefrontPool recycles the insertion wavefront's heap: the repair runs
+// once per evaluated move, and two fresh slices per call were the largest
+// cost left in a read-only buy evaluation. Every wavefront drains its
+// heap, so pooled heaps come back empty.
+var wavefrontPool = sync.Pool{New: func() any { return newHeap(8) }}
+
 // addF adds a finite weight to a possibly-infinite distance without
 // producing NaN (Inf + w = Inf, which never relaxes anything).
 func addF(d, w float64) float64 {
@@ -113,31 +95,16 @@ func addF(d, w float64) float64 {
 	return d + w
 }
 
-// RepairRowRemove repairs the shortest-path row dist from src (valid for g
-// before the undirected edge (u,v,w) was deleted) so it is valid for g
-// after the deletion; g must no longer contain the edge, and w is the
-// weight the edge had. Only vertices whose every shortest path crossed the
-// deleted edge can change; the repair finds that set by walking tight
-// edges (dist[y] == dist[x] + w(x,y)) from the far endpoint, then
-// recomputes exactly those vertices with a boundary-seeded Dijkstra.
-//
-// If the potentially-affected set exceeds budget, the row is left exactly
-// as it was and ok is false: the caller should fall back to a full
-// Dijkstra (or drop the row). On success ok is true and changed counts the
-// recomputed entries.
-func (g *Graph) RepairRowRemove(dist []float64, src, u, v int, w float64, budget int) (changed int, ok bool) {
-	return g.RepairRowRemoveMarked(dist, src, u, v, w, budget, nil)
-}
-
-// RepairRowRemoveMarked is RepairRowRemove with a change hook: on success,
-// mark(x) fires exactly once for every vertex of the affected set (the
-// recomputed entries — a superset of the entries whose value actually
-// changed), so callers maintaining derived state learn which entries may
-// have moved, in O(affected). On failure (budget exceeded) the row is
-// untouched and mark never fires.
-func (g *Graph) RepairRowRemoveMarked(dist []float64, src, u, v int, w float64, budget int, mark func(x int)) (changed int, ok bool) {
-	n, ok := g.repairRemoveBatch(dist, src, []Edge{{U: u, V: v, W: w}}, nil, budget, mark)
-	return n, ok
+// hides reports whether the pair (x,y) is one of the masked edges. Masks
+// are net edge diffs — a handful of pairs — and the repairs consult them
+// only on tight or improving edges, so a linear scan beats a map.
+func hides(masked []Edge, x, y int) bool {
+	for _, e := range masked {
+		if (e.U == x && e.V == y) || (e.U == y && e.V == x) {
+			return true
+		}
+	}
+	return false
 }
 
 // RepairRowBatch repairs the shortest-path row dist from src across an
@@ -154,22 +121,40 @@ func (g *Graph) RepairRowRemoveMarked(dist []float64, src, u, v int, w float64, 
 // with a fresh Dijkstra: first the removals are repaired against the
 // pre-addition graph (g with the added edges masked out), producing the
 // row of the intermediate network; then all additions seed one shared
-// insertion wavefront over the full graph. mark fires (possibly
-// repeatedly) for every entry that may have changed. If the removal
-// phase's affected set exceeds budget, dist is left untouched and ok is
-// false: the caller should recompute the row from scratch.
+// insertion wavefront over the full graph. mark (nil for none) fires,
+// possibly repeatedly, for every entry that may have changed. If the
+// removal phase's affected set exceeds budget, dist is left untouched,
+// mark never fires and ok is false: the caller should recompute the row
+// from scratch.
 func (g *Graph) RepairRowBatch(dist []float64, src int, removed, added []Edge, budget int, mark func(x int)) (ok bool) {
-	if len(removed) > 0 {
-		var skip map[[2]int]bool
-		if len(added) > 0 {
-			skip = make(map[[2]int]bool, len(added))
-			for _, e := range added {
-				skip[pairKey(e.U, e.V)] = true
-			}
-		}
-		if _, ok := g.repairRemoveBatch(dist, src, removed, skip, budget, mark); !ok {
-			return false
-		}
+	return g.repairRow(dist, src, removed, added, added, budget, mark)
+}
+
+// RepairRowOverlay is RepairRowBatch for an edit that has not been
+// applied: g is left unmodified, dist must be valid for g, and on success
+// it is valid for the overlay network g − removed + added. Every edited
+// edge must be incident to src — exactly the shape of one agent's
+// strategy change evaluated from that agent's own row — which is what
+// lets the repair run on g itself: the removed edges are masked out of
+// the removal phase, and the insertion wavefront needs the added edges
+// only as seeds, since no relaxation can improve the source's own
+// distance of 0. The repaired row is bit-identical to applying the edit
+// and calling RepairRowBatch: both equal a fresh Dijkstra on the edited
+// graph. It panics on an edit not incident to src.
+func (g *Graph) RepairRowOverlay(dist []float64, src int, removed, added []Edge, budget int, mark func(x int)) (ok bool) {
+	checkIncident(src, removed)
+	checkIncident(src, added)
+	return g.repairRow(dist, src, removed, added, removed, budget, mark)
+}
+
+// repairRow runs the two repair phases: the removals against g with the
+// masked pairs hidden, then one insertion wavefront for the additions.
+func (g *Graph) repairRow(dist []float64, src int, removed, added, masked []Edge, budget int, mark func(x int)) bool {
+	if mark == nil {
+		mark = func(int) {}
+	}
+	if len(removed) > 0 && !g.repairRemoveBatch(dist, src, removed, masked, budget, mark) {
+		return false
 	}
 	if len(added) > 0 {
 		g.repairAddBatch(dist, added, mark)
@@ -177,27 +162,29 @@ func (g *Graph) RepairRowBatch(dist []float64, src int, removed, added []Edge, b
 	return true
 }
 
-func pairKey(u, v int) [2]int {
-	if u > v {
-		u, v = v, u
+func checkIncident(src int, edges []Edge) {
+	for _, e := range edges {
+		if e.U != src && e.V != src {
+			panic("graph: overlay edit not incident to the source")
+		}
 	}
-	return [2]int{u, v}
 }
 
 // repairRemoveBatch repairs dist across the simultaneous deletion of the
 // removed edges. The graph it repairs against is g minus the pairs in
-// skipAdd (edges inserted after the row's network state, masked out so
-// the removal phase sees exactly the row's own graph minus the removals);
-// g itself must no longer contain any removed edge.
+// masked: for RepairRowBatch the edges inserted after the row's network
+// state (g no longer contains the removed edges), for RepairRowOverlay
+// the removed edges themselves (g still contains them). Either way the
+// removal phase sees exactly the row's own graph minus the removals.
 //
 // Only vertices whose every shortest path crossed a removed edge can
 // change; the repair finds that set by walking tight edges
 // (dist[y] == dist[x] + w(x,y)) from every unsupported far endpoint, then
 // recomputes exactly those vertices with a boundary-seeded Dijkstra.
 // If the potentially-affected set exceeds budget, the row is left exactly
-// as it was and ok is false. On success ok is true and changed counts the
-// recomputed entries.
-func (g *Graph) repairRemoveBatch(dist []float64, src int, removed []Edge, skipAdd map[[2]int]bool, budget int, mark func(x int)) (changed int, ok bool) {
+// as it was and ok is false; mark fires only on success, once per
+// recomputed vertex.
+func (g *Graph) repairRemoveBatch(dist []float64, src int, removed, masked []Edge, budget int, mark func(x int)) (ok bool) {
 	// Roots: endpoints whose distance was supported through a deleted
 	// edge and have no alternative tight support left. If every endpoint
 	// keeps a support, no distance in the row can change. The source is
@@ -213,14 +200,14 @@ func (g *Graph) repairRemoveBatch(dist []float64, src int, removed []Edge, skipA
 			if far == src || isRoot[far] || dist[far] != addF(dist[near], re.W) || math.IsInf(dist[far], 1) {
 				continue
 			}
-			if !g.hasStrictSupport(dist, far, skipAdd) {
+			if !g.hasStrictSupport(dist, far, masked) {
 				isRoot[far] = true
 				roots = append(roots, far)
 			}
 		}
 	}
 	if len(roots) == 0 {
-		return 0, true
+		return true
 	}
 
 	// Phase 1: the potentially-affected set — everything reachable from a
@@ -244,12 +231,9 @@ func (g *Graph) repairRemoveBatch(dist []float64, src int, removed []Edge, skipA
 			if math.IsInf(e.w, 1) || affected[e.to] || e.to == src {
 				continue
 			}
-			if skipAdd != nil && skipAdd[pairKey(x, e.to)] {
-				continue
-			}
-			if dist[e.to] == dx+e.w {
+			if dist[e.to] == dx+e.w && !hides(masked, x, e.to) {
 				if len(affected) >= budget {
-					return 0, false
+					return false
 				}
 				affected[e.to] = true
 				queue = append(queue, e.to)
@@ -262,10 +246,8 @@ func (g *Graph) repairRemoveBatch(dist []float64, src int, removed []Edge, skipA
 	// Dijkstra over the wavefront; relaxations into unaffected vertices
 	// can never win (their value is already the minimum) so no guard is
 	// needed beyond the usual strict comparison.
-	if mark != nil {
-		for x := range affected {
-			mark(x)
-		}
+	for x := range affected {
+		mark(x)
 	}
 	h := newHeap(len(affected))
 	for x := range affected {
@@ -277,10 +259,7 @@ func (g *Graph) repairRemoveBatch(dist []float64, src int, removed []Edge, skipA
 			if math.IsInf(e.w, 1) || affected[e.to] {
 				continue
 			}
-			if skipAdd != nil && skipAdd[pairKey(x, e.to)] {
-				continue
-			}
-			if nd := addF(dist[e.to], e.w); nd < best {
+			if nd := addF(dist[e.to], e.w); nd < best && !hides(masked, x, e.to) {
 				best = nd
 			}
 		}
@@ -298,16 +277,13 @@ func (g *Graph) repairRemoveBatch(dist []float64, src int, removed []Edge, skipA
 			if math.IsInf(e.w, 1) {
 				continue
 			}
-			if skipAdd != nil && skipAdd[pairKey(x, e.to)] {
-				continue
-			}
-			if nd := dx + e.w; nd < dist[e.to] {
+			if nd := dx + e.w; nd < dist[e.to] && !hides(masked, x, e.to) {
 				dist[e.to] = nd
 				h.push(e.to, nd)
 			}
 		}
 	}
-	return len(affected), true
+	return true
 }
 
 // hasStrictSupport reports whether some remaining edge still certifies
@@ -317,18 +293,15 @@ func (g *Graph) repairRemoveBatch(dist []float64, src int, removed []Edge, skipA
 // each other while both are grounded only through the deleted edge, so an
 // equal-distance support proves nothing. Treating such endpoints as roots
 // is conservative: phase 2 recomputes them and lands on the same values
-// whenever the tie was genuine. Edges whose pair is in skipAdd (inserted
-// after the row's network state) are not remaining edges and never count.
-func (g *Graph) hasStrictSupport(dist []float64, x int, skipAdd map[[2]int]bool) bool {
+// whenever the tie was genuine. Masked edges are not remaining edges and
+// never count.
+func (g *Graph) hasStrictSupport(dist []float64, x int, masked []Edge) bool {
 	dx := dist[x]
 	for _, e := range g.adj[x] {
 		if math.IsInf(e.w, 1) || dist[e.to] >= dx {
 			continue
 		}
-		if skipAdd != nil && skipAdd[pairKey(x, e.to)] {
-			continue
-		}
-		if dist[e.to]+e.w == dx {
+		if dist[e.to]+e.w == dx && !hides(masked, x, e.to) {
 			return true
 		}
 	}

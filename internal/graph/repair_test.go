@@ -75,7 +75,7 @@ func TestRepairRowMatchesFreshDijkstra(t *testing.T) {
 						w := g.EdgeWeight(u, v)
 						g.RemoveEdge(u, v)
 						for src := 0; src < n; src++ {
-							if _, ok := g.RepairRowRemove(rows[src], src, u, v, w, n+1); !ok {
+							if !g.RepairRowBatch(rows[src], src, []Edge{{U: u, V: v, W: w}}, nil, n+1, nil) {
 								t.Fatalf("seed %d step %d: budget n+1 exceeded on an n-vertex graph", seed, step)
 							}
 						}
@@ -91,7 +91,7 @@ func TestRepairRowMatchesFreshDijkstra(t *testing.T) {
 						}
 						g.AddEdge(u, v, w)
 						for src := 0; src < n; src++ {
-							g.RepairRowAdd(rows[src], u, v, w)
+							g.RepairRowBatch(rows[src], src, nil, []Edge{{U: u, V: v, W: w}}, n+1, nil)
 						}
 					}
 					for src := 0; src < n; src++ {
@@ -118,7 +118,7 @@ func TestRepairRowRemoveZeroWeightCycleGrounding(t *testing.T) {
 	g.AddEdge(u, a, 0)
 	dist := g.Dijkstra(s)
 	g.RemoveEdge(v, u)
-	if _, ok := g.RepairRowRemove(dist, s, v, u, 0, 64); !ok {
+	if !g.RepairRowBatch(dist, s, []Edge{{U: v, V: u, W: 0}}, nil, 64, nil) {
 		t.Fatal("repair unexpectedly exceeded budget")
 	}
 	rowsEqualBitwise(t, dist, g.Dijkstra(s), "zero-weight cycle")
@@ -140,20 +140,21 @@ func TestRepairRowRemoveBudgetFallback(t *testing.T) {
 	dist := g.Dijkstra(0)
 	before := append([]float64(nil), dist...)
 	g.RemoveEdge(0, 1)
-	if _, ok := g.RepairRowRemove(dist, 0, 0, 1, 1, 3); ok {
+	removed := []Edge{{U: 0, V: 1, W: 1}}
+	if g.RepairRowBatch(dist, 0, removed, nil, 3, nil) {
 		t.Fatal("expected budget refusal")
 	}
 	rowsEqualBitwise(t, dist, before, "refused repair must not touch the row")
-	if _, ok := g.RepairRowRemove(dist, 0, 0, 1, 1, n); !ok {
+	if !g.RepairRowBatch(dist, 0, removed, nil, n, nil) {
 		t.Fatal("budget n should suffice")
 	}
 	rowsEqualBitwise(t, dist, g.Dijkstra(0), "after retry with larger budget")
 }
 
-// TestRepairRowAddChangedCountsVertices: the returned count is distinct
-// changed entries, not relaxations — a vertex the wavefront improves
-// twice (first via a far frontier vertex, then via a closer one) counts
-// once.
+// TestRepairRowAddChangedCountsVertices: the marked set is exactly the
+// distinct changed entries — a vertex the wavefront improves twice
+// (first via a far frontier vertex, then via a closer one) is marked
+// twice but counts once.
 func TestRepairRowAddChangedCountsVertices(t *testing.T) {
 	// Path 0-1-2-3-4 (unit weights) with (4,5) of weight 10 and a side
 	// edge (3,5) of weight 1. Inserting (0,4) of weight 1 improves 4
@@ -166,7 +167,9 @@ func TestRepairRowAddChangedCountsVertices(t *testing.T) {
 	g.AddEdge(3, 5, 1)
 	dist := g.Dijkstra(0)
 	g.AddEdge(0, 4, 1)
-	if c := g.RepairRowAdd(dist, 0, 4, 1); c != 3 {
+	changed := map[int]bool{}
+	g.RepairRowBatch(dist, 0, nil, []Edge{{U: 0, V: 4, W: 1}}, 6, func(x int) { changed[x] = true })
+	if c := len(changed); c != 3 {
 		t.Fatalf("changed = %d, want 3 (vertices 3, 4, 5)", c)
 	}
 	rowsEqualBitwise(t, dist, g.Dijkstra(0), "double-improvement insert")
@@ -179,7 +182,9 @@ func TestRepairRowAddInfEdgeIsNoop(t *testing.T) {
 	g.AddEdge(0, 1, 2)
 	dist := g.Dijkstra(0)
 	g.AddEdge(1, 2, math.Inf(1))
-	if c := g.RepairRowAdd(dist, 1, 2, math.Inf(1)); c != 0 {
+	marks := 0
+	g.RepairRowBatch(dist, 0, nil, []Edge{{U: 1, V: 2, W: math.Inf(1)}}, 3, func(int) { marks++ })
+	if c := marks; c != 0 {
 		t.Fatalf("inf insertion changed %d entries", c)
 	}
 	rowsEqualBitwise(t, dist, g.Dijkstra(0), "inf add")
@@ -279,4 +284,106 @@ func TestRepairRowBatchBudgetRefusalUntouched(t *testing.T) {
 		t.Fatal("budget n should suffice")
 	}
 	rowsEqualBitwise(t, dist, g.Dijkstra(0), "after batch retry with larger budget")
+}
+
+func pairKey(u, v int) [2]int {
+	if u > v {
+		u, v = v, u
+	}
+	return [2]int{u, v}
+}
+
+// TestRepairRowOverlayMatchesAppliedEdit is the read-only property behind
+// the game's move evaluation: a source-incident edit (one or two flips at
+// src, as a buy, delete or swap produces) repaired on a copy of src's row
+// against the unmodified graph, or computed by DijkstraOverlay, must be
+// bit-equal to a fresh Dijkstra on the graph with the edit applied —
+// and the graph itself must not change.
+func TestRepairRowOverlayMatchesAppliedEdit(t *testing.T) {
+	for _, flavor := range []string{"generic", "ties", "mixed"} {
+		flavor := flavor
+		t.Run(flavor, func(t *testing.T) {
+			t.Parallel()
+			for seed := int64(0); seed < 12; seed++ {
+				rng := rand.New(rand.NewSource(900 + seed))
+				n := 6 + rng.Intn(10)
+				g := randRepairGraph(rng, n, flavor)
+				before := g.Edges()
+				for step := 0; step < 40; step++ {
+					src := rng.Intn(n)
+					var removed, added []Edge
+					applied := g.Clone()
+					for k, flips := 0, 1+rng.Intn(2); k < flips; k++ {
+						v := rng.Intn(n)
+						if v == src || applied.HasEdge(src, v) != g.HasEdge(src, v) {
+							continue
+						}
+						if g.HasEdge(src, v) {
+							removed = append(removed, Edge{U: src, V: v, W: g.EdgeWeight(src, v)})
+							applied.RemoveEdge(src, v)
+						} else {
+							w := []float64{0, math.Inf(1), 1, 1.5, rng.Float64() * 10}[rng.Intn(5)]
+							added = append(added, Edge{U: v, V: src, W: w})
+							applied.AddEdge(src, v, w)
+						}
+					}
+					want := applied.Dijkstra(src)
+					row := g.Dijkstra(src)
+					orig := append([]float64(nil), row...)
+					marked := map[int]bool{}
+					if !g.RepairRowOverlay(row, src, removed, added, n+1, func(x int) { marked[x] = true }) {
+						t.Fatalf("seed %d step %d: budget n+1 exceeded on an n-vertex graph", seed, step)
+					}
+					rowsEqualBitwise(t, row, want, flavor+"/overlay repair")
+					for x := range want {
+						if row[x] != orig[x] && !(math.IsInf(row[x], 1) && math.IsInf(orig[x], 1)) && !marked[x] {
+							t.Fatalf("seed %d step %d: entry %d changed without mark", seed, step, x)
+						}
+					}
+					fresh := make([]float64, n)
+					g.DijkstraOverlay(fresh, src, removed, added)
+					rowsEqualBitwise(t, fresh, want, flavor+"/overlay Dijkstra")
+				}
+				after := g.Edges()
+				if len(after) != len(before) {
+					t.Fatalf("seed %d: overlay evaluation changed the graph (%d -> %d edges)", seed, len(before), len(after))
+				}
+				for i := range before {
+					if after[i] != before[i] {
+						t.Fatalf("seed %d: overlay evaluation changed edge %v -> %v", seed, before[i], after[i])
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestRepairRowOverlayRefusalAndContract: an overlay removal over budget
+// leaves the row untouched, and an edit away from the source panics.
+func TestRepairRowOverlayRefusalAndContract(t *testing.T) {
+	n := 16
+	g := New(n)
+	for i := 0; i+1 < n; i++ {
+		g.AddEdge(i, i+1, 1)
+	}
+	dist := g.Dijkstra(0)
+	before := append([]float64(nil), dist...)
+	removed := []Edge{{U: 0, V: 1, W: 1}}
+	added := []Edge{{U: 0, V: n - 1, W: 1}}
+	if g.RepairRowOverlay(dist, 0, removed, added, 3, func(int) { t.Fatal("mark fired on refusal") }) {
+		t.Fatal("expected budget refusal")
+	}
+	rowsEqualBitwise(t, dist, before, "refused overlay must not touch the row")
+	if !g.RepairRowOverlay(dist, 0, removed, added, n, nil) {
+		t.Fatal("budget n should suffice")
+	}
+	g.RemoveEdge(0, 1)
+	g.AddEdge(0, n-1, 1)
+	rowsEqualBitwise(t, dist, g.Dijkstra(0), "overlay retry with larger budget")
+	defer func() {
+		if recover() == nil {
+			t.Fatal("an edit away from the source must panic")
+		}
+	}()
+	g.RepairRowOverlay(dist, 0, []Edge{{U: 2, V: 3, W: 1}}, nil, n, nil)
 }

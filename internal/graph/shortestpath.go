@@ -12,6 +12,29 @@ import (
 func (g *Graph) Dijkstra(src int) []float64 {
 	g.checkVertex(src)
 	dist := make([]float64, g.n)
+	g.dijkstraInto(dist, src, nil, nil)
+	return dist
+}
+
+// DijkstraOverlay writes into dist (length N) the shortest-path distances
+// from src in the overlay network g − removed + added, leaving g
+// unmodified. As with RepairRowOverlay, every edited edge must be
+// incident to src: the removed edges are masked out of src's own
+// relaxations and the added ones relaxed alongside them, which is all an
+// edit at the source can change. It panics on an edit not incident to
+// src.
+func (g *Graph) DijkstraOverlay(dist []float64, src int, removed, added []Edge) {
+	g.checkVertex(src)
+	checkIncident(src, removed)
+	checkIncident(src, added)
+	g.dijkstraInto(dist, src, removed, added)
+}
+
+// dijkstraInto runs Dijkstra from src into dist over g with the
+// source-incident edits of DijkstraOverlay (nil for the plain graph).
+// Relaxations into src never improve its distance of 0, so the edits
+// matter only while src itself is settled.
+func (g *Graph) dijkstraInto(dist []float64, src int, removed, added []Edge) {
 	for i := range dist {
 		dist[i] = math.Inf(1)
 	}
@@ -27,13 +50,25 @@ func (g *Graph) Dijkstra(src int) []float64 {
 			if math.IsInf(e.w, 1) {
 				continue
 			}
-			if nd := du + e.w; nd < dist[e.to] {
+			if nd := du + e.w; nd < dist[e.to] && (u != src || !hides(removed, u, e.to)) {
 				dist[e.to] = nd
 				h.push(e.to, nd)
 			}
 		}
+		if u != src {
+			continue
+		}
+		for _, e := range added {
+			v := e.V
+			if v == src {
+				v = e.U
+			}
+			if !math.IsInf(e.W, 1) && e.W < dist[v] {
+				dist[v] = e.W
+				h.push(v, e.W)
+			}
+		}
 	}
-	return dist
 }
 
 // DijkstraAvoiding returns shortest-path distances from src in the graph

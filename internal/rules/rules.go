@@ -44,7 +44,7 @@ type Budget struct{}
 func (Budget) Name() string { return "budget" }
 
 // StrategyCost returns 0: purchases are free under the budget cap.
-func (Budget) StrategyCost(*game.State, int) float64 { return 0 }
+func (Budget) StrategyCost(*game.Game, int, bitset.Set) float64 { return 0 }
 
 // DistTerm returns t·d.
 func (Budget) DistTerm(t, d float64) float64 { return t * d }
@@ -92,11 +92,11 @@ type Unit struct{}
 // Name returns "unit".
 func (Unit) Name() string { return "unit" }
 
-// StrategyCost returns α·|S_u|, +Inf if u owns an unbuyable pair.
-func (Unit) StrategyCost(s *game.State, u int) float64 {
+// StrategyCost returns α·|strat|, +Inf if strat buys an unbuyable pair.
+func (Unit) StrategyCost(g *game.Game, u int, strat bitset.Set) float64 {
 	count, inf := 0, false
-	s.P.S[u].ForEach(func(v int) {
-		if math.IsInf(s.G.Host.Weight(u, v), 1) {
+	strat.ForEach(func(v int) {
+		if math.IsInf(g.Host.Weight(u, v), 1) {
 			inf = true
 		}
 		count++
@@ -104,7 +104,7 @@ func (Unit) StrategyCost(s *game.State, u int) float64 {
 	if inf {
 		return math.Inf(1)
 	}
-	return s.G.Alpha * float64(count)
+	return g.Alpha * float64(count)
 }
 
 // DistTerm returns t·d.
