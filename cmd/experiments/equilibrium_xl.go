@@ -42,19 +42,6 @@ const (
 	xlSampleHuge = 16
 )
 
-// xlVerifyWorkers caps verification parallelism by footprint: each
-// verify worker clones the state, and a clone's profile bitsets alone
-// are n²/8 bytes — 1.25 GB at n = 10⁵ — so the largest rungs bound the
-// clone count instead of taking a worker per core. Verdicts are
-// worker-count-invariant by the verifier's contract; only wall time and
-// memory change.
-func xlVerifyWorkers(n int) int {
-	if n > xlSampleCut {
-		return 4
-	}
-	return 0 // GOMAXPROCS
-}
-
 func registerEquilibriumXL() {
 	sweep.Register(sweep.Experiment{
 		Name: "equilibrium_xl", Title: "Scale: greedy dynamics at n = 10⁵ — geometric candidate generation ladder",
@@ -112,16 +99,15 @@ func registerEquilibriumXL() {
 			budget := dynamics.Budget{MaxRounds: 32, MaxMoves: 20 * n}
 			res := dynamics.RunToConvergence(s, dynamics.GreedyMover, dynamics.RoundRobin{}, budget)
 			// Scan telemetry of the convergence run alone: verification
-			// works on clones (counters discarded) and the exact-oracle
-			// sample runs unpruned scans, which never count.
+			// workers count into their own views (discarded) and the
+			// exact-oracle sample runs unpruned scans, which never count.
 			scan := s.ScanStats()
 
 			certified := "-"
 			var verification dynamics.Verification
 			var haveVerification bool
 			if res.Outcome == dynamics.Converged {
-				verification, haveVerification = dynamics.VerifyConvergence(
-					res, s, game.VerifyOptions{Workers: xlVerifyWorkers(n)})
+				verification, haveVerification = dynamics.VerifyConvergence(res, s, game.VerifyOptions{})
 				certified = report.Check(verification.Stable)
 			}
 			sampled := "-"

@@ -1155,10 +1155,10 @@ func registerEquilibrium() {
 			budget := dynamics.Budget{MaxRounds: 32, MaxMoves: 20 * n}
 			res := dynamics.RunToConvergence(s, dynamics.GreedyMover, dynamics.RoundRobin{}, budget)
 			// The dynamics' scan telemetry, before verification: the
-			// verifier works on clones (their counters are discarded) and
-			// the sampled exact oracle runs unpruned scans, which do not
-			// count — so these numbers describe exactly the convergence
-			// run above.
+			// verifier's workers count into their own views (discarded)
+			// and the sampled exact oracle runs unpruned scans, which do
+			// not count — so these numbers describe exactly the
+			// convergence run above.
 			scan := s.ScanStats()
 			lb := opt.LowerBound(g)
 

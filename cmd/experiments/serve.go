@@ -265,7 +265,7 @@ func workMain(args []string, stderr io.Writer) int {
 	return 0
 }
 
-// childSpec describes one supervised subprocess of a coordinator.
+// childSpec describes one supervised worker subprocess of serve.
 type childSpec struct {
 	exe    string
 	args   []string
@@ -279,9 +279,6 @@ type childSpec struct {
 	// done suppresses restarts once closed (job complete; a child dying
 	// after the last report is not a failure).
 	done <-chan struct{}
-	// noRetryExit lists exit codes that are deterministic outcomes, not
-	// crashes: retrying them cannot change anything.
-	noRetryExit []int
 }
 
 // superviseChild runs a child with live line-prefixed diagnostics and
@@ -317,13 +314,6 @@ func superviseChild(spec childSpec) error {
 		if firstErr == nil {
 			firstErr = err
 			firstDiag = pw.Captured()
-		}
-		if ee, ok := err.(*exec.ExitError); ok {
-			for _, code := range spec.noRetryExit {
-				if ee.ExitCode() == code {
-					return failure(firstErr, firstDiag)
-				}
-			}
 		}
 		select {
 		case <-spec.done:

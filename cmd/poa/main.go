@@ -46,16 +46,12 @@ func main() {
 	verifyWorkers := flag.Int("verify-workers", 1, "equilibrium-verification workers per cell (0 = GOMAXPROCS); raises the greedy tier's size cutoff ~sqrt(workers)")
 	candidates := flag.String("candidates", "", "geometric candidate generation: on or off (default: $GNCG_CANDIDATES, else on)")
 	flag.Parse()
-	switch mode := *candidates; {
-	case mode == "":
-		if env := os.Getenv("GNCG_CANDIDATES"); env == "off" {
-			game.SetCandidateGeneration(false)
-		}
-	case mode == "on" || mode == "off":
-		game.SetCandidateGeneration(mode == "on")
-	default:
-		fail(fmt.Errorf("invalid -candidates mode %q (want on or off)", mode))
+	mode, err := game.ResolveCandidateMode(*candidates)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "poa:", err)
+		os.Exit(2)
 	}
+	game.SetCandidateGeneration(mode == "on")
 	if *csvOut {
 		fmt.Println("family,alpha,size,ratio,predicted,tier,stable,verify_workers,cert_skipped")
 	}

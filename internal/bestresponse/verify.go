@@ -1,9 +1,10 @@
 // Nash-tier concurrent verification. The exact tier shards one exact
 // best-response computation per agent across a bounded worker pool —
 // each check is read-only against the frozen state (BuildInstance goes
-// through the state's concurrent-read-safe distance cache), so no
-// per-worker cloning is needed, unlike the greedy tier's speculative
-// scans (game.VerifyGreedyEquilibrium).
+// through the state's concurrent-read-safe distance cache), so every
+// worker reads the caller's state directly. The greedy tier
+// (game.VerifyGreedyEquilibrium) shares it the same way, adding only
+// per-worker evaluation scratch for its speculative scans.
 //
 // The greedy tier's gain-bound certificates do NOT transfer here: a
 // GainCertificate bounds single-edge moves, while a Nash deviation may

@@ -41,8 +41,9 @@ import (
 // their values, so results stay byte-deterministic under any schedule.
 //
 // The cache is safe for concurrent read-side use (parallel cost queries
-// on distinct sources, as in IsNash and TotalDistCost); mutation of the
-// state itself remains single-threaded, as documented on State. Because
+// as in IsNash and TotalDistCost, and the greedy verifier's workers,
+// which all read through one shared cache); mutation of the state
+// itself remains single-threaded, as documented on State. Because
 // repair rewrites rows in place, a slice returned by Dist is only valid
 // until the state's next mutation.
 type distCache struct {

@@ -1,7 +1,9 @@
 package game
 
 import (
+	"fmt"
 	"math"
+	"os"
 	"sync/atomic"
 
 	"gncg/internal/bitset"
@@ -38,9 +40,10 @@ import (
 // an accelerator, never an approximation.
 
 // candidateGeneration gates the geometric fast path globally. It
-// defaults to on; SetCandidateGeneration (driven by the experiments
-// binary's -candidates flag / GNCG_CANDIDATES environment variable)
-// forces it off for oracle-equality gates and A/B measurements.
+// defaults to on; SetCandidateGeneration (driven by the commands'
+// -candidates flag / GNCG_CANDIDATES environment variable, see
+// ResolveCandidateMode) forces it off for oracle-equality gates and A/B
+// measurements.
 var candidateGeneration atomic.Bool
 
 func init() { candidateGeneration.Store(true) }
@@ -51,6 +54,26 @@ func init() { candidateGeneration.Store(true) }
 // and ScanStats telemetry change.
 func SetCandidateGeneration(on bool) { candidateGeneration.Store(on) }
 
+// ResolveCandidateMode resolves the candidate-generation mode a command
+// runs in from, in precedence order, its -candidates flag value, the
+// GNCG_CANDIDATES environment variable and the default. It returns "on"
+// or "off"; any other spelling, from either source, is an error, so a
+// misspelt mode fails the command instead of silently running the fast
+// path.
+func ResolveCandidateMode(flagVal string) (string, error) {
+	mode, src := flagVal, "-candidates"
+	if mode == "" {
+		mode, src = os.Getenv("GNCG_CANDIDATES"), "GNCG_CANDIDATES"
+	}
+	switch mode {
+	case "":
+		return "on", nil
+	case "on", "off":
+		return mode, nil
+	}
+	return "", fmt.Errorf("invalid %s mode %q (want on or off)", src, mode)
+}
+
 // CandidateGenerationEnabled reports whether the geometric fast path is
 // active.
 func CandidateGenerationEnabled() bool { return candidateGeneration.Load() }
@@ -58,7 +81,8 @@ func CandidateGenerationEnabled() bool { return candidateGeneration.Load() }
 // ScanStats counts how BestSingleMove scans were served on this state —
 // the telemetry behind the equilibrium ladder's candidates_scanned /
 // fallbacks columns. Counters follow the State's concurrency contract
-// (no concurrent mutation); clones start at zero.
+// (no concurrent mutation); clones and the verifier's worker views
+// start at zero, so verification never adds to the caller's counters.
 type ScanStats struct {
 	// CandidateScans counts scans served from a geometric candidate
 	// source through a certified cutoff radius.
@@ -122,7 +146,7 @@ func (s *State) maxRefundPrice(u int, owned bitset.Set) float64 {
 // traffic-weighted host-metric floor under agent u's distance cost. The
 // sum depends only on the host and the demand matrix, never on the
 // strategy profile, so it is computed once per agent per traffic epoch
-// and cached on the Game; every state and verifier clone sharing the
+// and cached on the Game; every state and verifier worker sharing the
 // Game reuses it, which is what makes the excess certificate sublinear
 // after first touch. Concurrent callers may recompute the same entry
 // (the sum is deterministic — fixed index order — so duplicates agree

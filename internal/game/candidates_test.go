@@ -153,3 +153,42 @@ func TestCandidateScanStats(t *testing.T) {
 		t.Fatalf("toggle off: want %d exhaustive scans only, got %+v", n, st)
 	}
 }
+
+// TestResolveCandidateMode pins the -candidates / GNCG_CANDIDATES
+// precedence both commands share: a set flag wins, an empty flag defers
+// to the environment, both empty means on, and a misspelt value from
+// whichever source is consulted is an error rather than a silent on.
+func TestResolveCandidateMode(t *testing.T) {
+	cases := []struct {
+		flag, env, want string // want "" means an error
+	}{
+		{"", "", "on"},
+		{"", "on", "on"},
+		{"", "off", "off"},
+		{"", "OFF", ""},
+		{"", "0", ""},
+		{"on", "", "on"},
+		{"on", "off", "on"},
+		{"on", "OFF", "on"},
+		{"off", "", "off"},
+		{"off", "on", "off"},
+		{"off", "0", "off"},
+		{"OFF", "", ""},
+		{"OFF", "off", ""},
+		{"0", "on", ""},
+		{"yes", "", ""},
+	}
+	for _, c := range cases {
+		t.Setenv("GNCG_CANDIDATES", c.env)
+		got, err := ResolveCandidateMode(c.flag)
+		if c.want == "" {
+			if err == nil {
+				t.Errorf("flag %q env %q: resolved %q, want an error", c.flag, c.env, got)
+			}
+			continue
+		}
+		if err != nil || got != c.want {
+			t.Errorf("flag %q env %q: got (%q, %v), want %q", c.flag, c.env, got, err, c.want)
+		}
+	}
+}

@@ -169,7 +169,7 @@ type Game struct {
 	// Σ_x t(u,x)·w(u,x) behind the excess certificate (candidates.go).
 	// The sums are strategy-independent; floorEpoch tracks costEpoch so
 	// SetTraffic invalidates them. Guarded by floorMu — states and
-	// verifier clones share the Game across goroutines.
+	// verifier workers share the Game across goroutines.
 	floorMu    sync.Mutex
 	floorEpoch uint64
 	floorSums  []float64

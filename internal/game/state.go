@@ -11,9 +11,17 @@ import (
 // State is a strategy profile bound to its game, with the created network
 // G(s) kept materialized and shortest-path queries memoized (see
 // cache.go). All cost queries and move evaluations go through a State.
-// States are not safe for concurrent mutation; read-only cost queries on
-// distinct sources are safe. States must be created with NewState (or
-// Clone); the zero value is unusable.
+//
+// Concurrency: a State is never safe to mutate concurrently with
+// anything (SetStrategy, Apply, SetDistCaching and the rest of the
+// mutators are single-threaded). While it is frozen, the cache-backed
+// reads — Dist, Cost, DistCost, SocialCost, APSPAvoiding,
+// AcquireGainCertificate, CacheStats — are safe from any number of
+// goroutines. CostAfter and the scans (BestSingleMove and its tiers)
+// are read-only too but write per-state scratch (evaluation buffers,
+// scan counters), so concurrent evaluators each need their own:
+// VerifyGreedyEquilibrium gives every worker a sharedView. States must
+// be created with NewState (or Clone); the zero value is unusable.
 type State struct {
 	G     *Game
 	P     Profile
@@ -31,7 +39,7 @@ type State struct {
 
 	// scan accumulates best-response scan telemetry (see candidates.go);
 	// candBuf is the reused scratch buffer for candidate-source queries.
-	// Clones start with zero counters and a nil buffer.
+	// Clones and shared views start with zero counters and a nil buffer.
 	scan    ScanStats
 	candBuf []int
 }
@@ -75,6 +83,15 @@ func (s *State) Clone() *State {
 		G: s.G, P: s.P.Clone(), net: s.net.Clone(),
 		cache: newDistCache(s.G.N(), s.cache.off),
 	}
+}
+
+// sharedView returns an evaluator over s for one concurrent reader: it
+// shares the game, profile, network and distance cache — so it reads
+// the rows s has already warmed — and owns only the per-evaluation
+// scratch (CostAfter's buffers, scan counters, the candidate buffer).
+// s must stay frozen while any view is in use.
+func (s *State) sharedView() *State {
+	return &State{G: s.G, P: s.P, net: s.net, cache: s.cache}
 }
 
 // repairFlipLimit is the edge-change count up to which SetStrategy logs

@@ -171,9 +171,10 @@ type agentVerdict struct {
 //
 // The entry point is read-only: s itself is never mutated. Each worker
 // owns a contiguous block of agents (parallel.Blocks, a deterministic
-// partition) and verifies them against its own private clone of the
-// state, whose distance cache warms across the whole block (CostAfter
-// is read-only, so no per-check cloning is needed).
+// partition) and verifies them through its own sharedView of s: the
+// profile, network and distance cache are shared for reading, so
+// workers reuse the rows the caller already warmed, and only the
+// per-evaluation scratch is private.
 // Per-agent verdicts depend only on the frozen state, never on worker
 // count or scheduling, and fold into the result in fixed agent order —
 // so the returned VerifyResult is identical for any Workers setting,
@@ -197,7 +198,7 @@ func VerifyGreedyEquilibrium(s *State, opt VerifyOptions) VerifyResult {
 	}
 	verdicts := make([]agentVerdict, n)
 	parallel.Blocks(n, workers, func(_, lo, hi int) {
-		work := s.Clone()
+		work := s.sharedView()
 		for u := lo; u < hi; u++ {
 			verdicts[u] = verifyAgent(work, u, opt)
 		}
@@ -217,8 +218,8 @@ func VerifyGreedyEquilibrium(s *State, opt VerifyOptions) VerifyResult {
 	return res
 }
 
-// verifyAgent checks one agent on a worker-private state. The verdict
-// is a pure function of the state and options.
+// verifyAgent checks one agent through a worker's view of the state.
+// The verdict is a pure function of the state and options.
 func verifyAgent(work *State, u int, opt VerifyOptions) (v agentVerdict) {
 	cur := work.Cost(u)
 	if !opt.NoCertificates && !math.IsInf(cur, 1) {

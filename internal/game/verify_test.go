@@ -2,6 +2,7 @@ package game
 
 import (
 	"math/rand"
+	"reflect"
 	"runtime"
 	"testing"
 )
@@ -45,7 +46,8 @@ func settle(s *State, maxRounds int) {
 // serial exhaustive oracle under worker counts {1, 4, GOMAXPROCS},
 // with certificates on and off and both scan oracles — and the
 // certificate skip count is identical for every worker count. Run under
-// -race in CI, this also exercises the per-worker clone isolation.
+// -race in CI, this also checks that the workers' shared reads of one
+// state are race-free.
 func TestVerifyParallelMatchesSerialOracle(t *testing.T) {
 	workerCounts := []int{1, 4, runtime.GOMAXPROCS(0)}
 	for _, flavor := range repairFlavors {
@@ -162,4 +164,82 @@ func TestVerifyCertSkipsAtScaleEquilibrium(t *testing.T) {
 		t.Fatalf("expected certificate skips at a large-alpha equilibrium, got 0 of %d agents", n)
 	}
 	t.Logf("cert skipped %d / %d agents", res.CertSkipped, n)
+}
+
+// warmL2Star is the shared-state verifier's fixture: an n-point ℓ2 star
+// at α = 16n, the l2_star_xl benchmark's shape, with every distance row
+// cached and current, as dynamics leave a converged state.
+func warmL2Star(n int) *State {
+	rng := rand.New(rand.NewSource(13))
+	s := NewState(New(randCacheHost(rng, n), 16*float64(n)), StarProfile(n, 0))
+	s.SocialCost()
+	return s
+}
+
+// TestVerifySharesCallerState: verification workers read through the
+// caller's own distance cache instead of private copies. On warm states
+// every worker count returns the same result, runs no Dijkstra (Misses
+// unchanged) while its reads show up as hits on the caller's counters,
+// and leaves the cache, the profile and the network untouched.
+func TestVerifySharesCallerState(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	n := 40
+	corpus := NewState(New(repairHost(t, rng, n, "tree"), 2), randProfile(rng, n, 0.1))
+	corpus.SocialCost()
+	for name, s := range map[string]*State{"l2star2000": warmL2Star(2000), "tree40": corpus} {
+		view, edges, prof := s.CacheView(), s.Network().Edges(), s.P.Clone()
+		var want VerifyResult
+		for _, workers := range []int{1, 2, 4} {
+			before := s.CacheStats()
+			res := VerifyGreedyEquilibrium(s, VerifyOptions{Workers: workers})
+			after := s.CacheStats()
+			res.Workers = 0 // the one field that reports the worker count
+			if workers == 1 {
+				want = res
+			} else if res != want {
+				t.Fatalf("%s workers=%d: %+v, want %+v", name, workers, res, want)
+			}
+			if after.Misses != before.Misses {
+				t.Fatalf("%s workers=%d: %d cache misses on a warm state", name, workers, after.Misses-before.Misses)
+			}
+			if after.Hits <= before.Hits {
+				t.Fatalf("%s workers=%d: verification read no row through the caller's cache (hits %d -> %d)",
+					name, workers, before.Hits, after.Hits)
+			}
+		}
+		if !reflect.DeepEqual(s.CacheView(), view) {
+			t.Fatalf("%s: verification changed the distance cache", name)
+		}
+		if !reflect.DeepEqual(s.Network().Edges(), edges) {
+			t.Fatalf("%s: verification changed the network", name)
+		}
+		for u := 0; u < s.G.N(); u++ {
+			if !s.P.S[u].Equal(prof.S[u]) {
+				t.Fatalf("%s: verification changed agent %d's strategy", name, u)
+			}
+		}
+	}
+}
+
+// TestVerifyWorkerMemoryBound pins the verifier's footprint: extra
+// workers cost scratch, not state copies. Going from 1 to 4 workers on
+// the warm n = 2000 star must allocate less than one profile copy
+// (n²/8 bytes).
+func TestVerifyWorkerMemoryBound(t *testing.T) {
+	n := 2000
+	s := warmL2Star(n)
+	allocated := func(workers int) int64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		VerifyGreedyEquilibrium(s, VerifyOptions{Workers: workers})
+		runtime.ReadMemStats(&after)
+		return int64(after.TotalAlloc - before.TotalAlloc)
+	}
+	allocated(1) // settle any one-time lazy state
+	one, four := allocated(1), allocated(4)
+	if bound := int64(n) * int64(n) / 8; four-one >= bound {
+		t.Fatalf("4 workers allocated %d bytes more than 1 worker (%d vs %d), bound %d (one profile copy)",
+			four-one, four, one, bound)
+	}
+	t.Logf("allocated: 1 worker %d bytes, 4 workers %d bytes", one, four)
 }

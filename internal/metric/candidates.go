@@ -14,8 +14,8 @@ package metric
 // bit-equal to a brute-force scan of Dist against the same threshold.
 // Implementations whose internal pruning is subject to float rounding
 // must slacken the pruning, never the membership check. Sources must be
-// safe for concurrent queries (the engine verifies equilibria from
-// worker-sharded clones of one state over one shared space).
+// safe for concurrent queries (the engine's verifier workers share one
+// state and so one space).
 type CandidateSource interface {
 	AppendWithin(u int, r float64, buf []int) []int
 

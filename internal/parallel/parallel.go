@@ -61,9 +61,10 @@ func ForWorkers(n, workers int, fn func(i int)) {
 // fn(worker, lo, hi) concurrently, one goroutine per non-empty range.
 // Worker w owns [w*n/workers, (w+1)*n/workers), so the partition — unlike
 // For's dynamic handout — depends only on n and workers, never on
-// scheduling. Callers that keep per-worker scratch (a cloned state, a
-// private cache) use this shape: each index belongs to exactly one worker
-// and neighboring indices share that worker's warm scratch. workers <= 1
+// scheduling. Callers that keep per-worker scratch (the greedy
+// verifier's per-worker evaluation buffers) use this shape: each index
+// belongs to exactly one worker and neighboring indices share that
+// worker's scratch. workers <= 1
 // runs fn(0, 0, n) on the calling goroutine.
 func Blocks(n, workers int, fn func(worker, lo, hi int)) {
 	if n <= 0 {

@@ -128,8 +128,9 @@ func settle(s *game.State, maxRounds int) {
 // verdict (Stable, FirstImproving) is bit-identical to the serial exact
 // oracle for worker counts {1, 4, GOMAXPROCS}, with certificates on and
 // off and both scan oracles, and CertSkipped is identical across worker
-// counts. Run under -race in CI this also checks per-worker clone
-// isolation on the non-default models' code paths.
+// counts. Run under -race in CI this also checks that the workers'
+// shared reads of one state are race-free on the non-default models'
+// code paths.
 func TestVerifierWorkerInvariance(t *testing.T) {
 	workerCounts := []int{1, 4, runtime.GOMAXPROCS(0)}
 	for _, model := range Names() {
