@@ -25,9 +25,6 @@ type VCReduction struct {
 	U    int
 }
 
-// VertexNode returns the index of vertex node a_i.
-func (r *VCReduction) VertexNode(i int) int { return i }
-
 // EdgeNodes returns the indices of p_j and p'_j.
 func (r *VCReduction) EdgeNodes(j int) (int, int) {
 	return r.VC.N + 2*j, r.VC.N + 2*j + 1

@@ -2,7 +2,6 @@ package dynamics
 
 import (
 	"fmt"
-	"math"
 
 	"gncg/internal/bitset"
 	"gncg/internal/game"
@@ -42,7 +41,7 @@ func ExhaustiveFIP(g *game.Game) (witness *FIPWitness, hasCycle bool, err error)
 
 	// Cost of every (profile, agent): computed in parallel by profile.
 	costs := parallel.Map(total, func(idx int) []float64 {
-		s := game.NewState(g, decodeProfile(idx, n, perAgent))
+		s := game.NewState(g, DecodeProfile(idx, n, perAgent))
 		out := make([]float64, n)
 		for u := 0; u < n; u++ {
 			out[u] = s.Cost(u)
@@ -69,11 +68,11 @@ func ExhaustiveFIP(g *game.Game) (witness *FIPWitness, hasCycle bool, err error)
 		for u := 0; u < n; u++ {
 			cur := base[u]
 			for alt := 0; alt < perAgent; alt++ {
-				nidx := replaceAgentStrategy(idx, u, alt, n, perAgent)
+				nidx := ReplaceAgentStrategy(idx, u, alt, perAgent)
 				if nidx == idx {
 					continue
 				}
-				if improves(costs[nidx][u], cur, g.Eps) {
+				if g.Improves(costs[nidx][u], cur) {
 					next = append(next, nidx)
 					agents = append(agents, u)
 				}
@@ -137,7 +136,7 @@ func ExhaustiveFIP(g *game.Game) (witness *FIPWitness, hasCycle bool, err error)
 				agentsChain = append(agentsChain, ag) // back edge mover
 				chain = append(chain, nxt)
 				for _, idx := range chain {
-					w.Profiles = append(w.Profiles, decodeProfile(idx, n, perAgent))
+					w.Profiles = append(w.Profiles, DecodeProfile(idx, n, perAgent))
 				}
 				w.Agents = agentsChain
 				return w, true, nil
@@ -147,38 +146,21 @@ func ExhaustiveFIP(g *game.Game) (witness *FIPWitness, hasCycle bool, err error)
 	return nil, false, nil
 }
 
-func improves(newCost, oldCost, eps float64) bool {
-	if math.IsInf(oldCost, 1) {
-		return !math.IsInf(newCost, 1)
-	}
-	return newCost < oldCost-eps
-}
-
-// decodeProfile expands a packed profile index into a Profile: agent u's
-// digit (base perAgent) is a bitmask over the other agents in increasing
-// order.
-func decodeProfile(idx, n, perAgent int) game.Profile {
-	p := game.EmptyProfile(n)
-	for u := 0; u < n; u++ {
-		mask := idx % perAgent
+// DecodeProfile expands a packed profile index of the exhaustive profile
+// space: agent u's digit (base perAgent = 2^(n-1)) is its strategy mask,
+// decoded by StrategySet.
+func DecodeProfile(idx, n, perAgent int) game.Profile {
+	p := game.Profile{S: make([]bitset.Set, n)}
+	for u := range p.S {
+		p.S[u] = StrategySet(n, u, idx%perAgent)
 		idx /= perAgent
-		bit := 0
-		for v := 0; v < n; v++ {
-			if v == u {
-				continue
-			}
-			if mask&(1<<bit) != 0 {
-				p.Buy(u, v)
-			}
-			bit++
-		}
 	}
 	return p
 }
 
-// replaceAgentStrategy returns the profile index with agent u's digit
+// ReplaceAgentStrategy returns the profile index with agent u's digit
 // replaced by alt.
-func replaceAgentStrategy(idx, u, alt, n, perAgent int) int {
+func ReplaceAgentStrategy(idx, u, alt, perAgent int) int {
 	pow := 1
 	for i := 0; i < u; i++ {
 		pow *= perAgent
@@ -197,7 +179,7 @@ func VerifyFIPWitness(g *game.Game, w *FIPWitness) bool {
 		u := w.Agents[i]
 		before := game.NewState(g, w.Profiles[i].Clone()).Cost(u)
 		after := game.NewState(g, w.Profiles[i+1].Clone()).Cost(u)
-		if !improves(after, before, g.Eps) {
+		if !g.Improves(after, before) {
 			return false
 		}
 		// Only agent u's strategy may change.
@@ -210,8 +192,8 @@ func VerifyFIPWitness(g *game.Game, w *FIPWitness) bool {
 	return w.Profiles[0].Equal(w.Profiles[len(w.Profiles)-1])
 }
 
-// StrategySet converts a strategy mask over "others" into a bitset, for
-// diagnostic printing.
+// StrategySet expands one agent's strategy mask into its strategy set:
+// bit i of mask selects the i-th other agent in increasing order.
 func StrategySet(n, u, mask int) bitset.Set {
 	s := bitset.New(n)
 	bit := 0

@@ -29,9 +29,11 @@ import (
 //
 // so every candidate with w > r satisfies skipAcquire's skip condition
 // for any refund <= refundMax and any running best — they can be
-// skipped without even being enumerated. The scan then walks only the
-// source's {v : w(u,v) <= r} set, in the oracle's own ascending order,
-// with the per-candidate bound checks still applied inside it.
+// skipped without even being enumerated. The source's {v : w(u,v) <= r}
+// set, in ascending index order, is then the target list of the same
+// moveScan walk the exhaustive tiers run (moves.go), with the
+// per-candidate bound checks still applied inside it — so the visiting
+// order, and with it the tie-break, is the oracle's by construction.
 //
 // When no usable cutoff exists (unbounded refunds, plateaued prices,
 // slack exceeding the tolerance at extreme costs) or the host has no
@@ -229,8 +231,7 @@ func (s *State) excessRulesOutAcquisitions(u int, cur float64, owned bitset.Set)
 			}
 		}
 	}
-	slack := 1e-11 * (1 + math.Abs(cur))
-	return excess+s.maxRefundPrice(u, owned)-minPrice <= s.G.Eps-slack
+	return excess+s.maxRefundPrice(u, owned)-minPrice <= s.G.Eps-costSlack(cur)
 }
 
 // acquireCutoff finds a host-weight radius r such that every candidate

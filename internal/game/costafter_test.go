@@ -181,3 +181,69 @@ func TestCostAfterAllocations(t *testing.T) {
 	}
 	t.Logf("CostAfter on a leaf buy: %v allocations per call", allocs)
 }
+
+// firstMinimumBuy is BestBuy's reference: the first feasible Buy in
+// CandidateMoves order attaining the strict minimum of CostAfter, kept
+// only if it strictly improves on the current cost.
+func firstMinimumBuy(s *game.State, u int) (game.Move, float64, bool) {
+	cur := s.Cost(u)
+	best, cost := game.Move{}, cur
+	for _, m := range s.CandidateMoves(u) {
+		if m.Kind != game.Buy {
+			continue
+		}
+		if c := s.CostAfter(m); c < cost {
+			best, cost = m, c
+		}
+	}
+	if !s.G.Improves(cost, cur) {
+		return game.Move{}, cur, false
+	}
+	return best, cost, true
+}
+
+// TestBestBuyMatchesCandidateMoves pins BestBuy to its reference on the
+// host corpus × random profiles × every registered cost model (the
+// budget model's α straddles the random profiles' spends, so its
+// feasibility predicate rejects buys): every agent gets the reference's
+// (move, cost, ok) triple, and IsAddOnlyEquilibrium holds exactly when
+// no agent has an improving buy.
+func TestBestBuyMatchesCandidateMoves(t *testing.T) {
+	flavors := append([]string{"zeroties"}, game.CorpusFlavors...)
+	for _, model := range rules.Names() {
+		for _, flavor := range flavors {
+			for seed := int64(0); seed < 4; seed++ {
+				rng := rand.New(rand.NewSource(seed))
+				n := 5 + rng.Intn(5)
+				var h *game.Host
+				if flavor == "zeroties" {
+					h = zeroTieHost(t, rng, n)
+				} else {
+					h = game.CorpusHost(t, rng, n, flavor)
+				}
+				alpha := 0.3 + 3*rng.Float64()
+				if model == "budget" {
+					alpha = 1 + 6*rng.Float64()
+				}
+				g := game.NewWithRules(h, alpha, rules.MustByName(model))
+				// Dense enough that some budget agents start over their cap,
+				// sparse enough that most agents have buys left.
+				s := game.NewState(g, game.RandProfile(rng, n, 0.15+0.2*rng.Float64()))
+				anyImproving := false
+				for u := 0; u < n; u++ {
+					m, c, ok := s.BestBuy(u)
+					wm, wc, wok := firstMinimumBuy(s, u)
+					if m != wm || c != wc || ok != wok {
+						t.Fatalf("%s/%s seed %d agent %d: BestBuy (%v, %v, %v), reference (%v, %v, %v)",
+							model, flavor, seed, u, m, c, ok, wm, wc, wok)
+					}
+					anyImproving = anyImproving || ok
+				}
+				if s.IsAddOnlyEquilibrium() == anyImproving {
+					t.Fatalf("%s/%s seed %d: IsAddOnlyEquilibrium = %v, but an improving buy exists = %v",
+						model, flavor, seed, !anyImproving, anyImproving)
+				}
+			}
+		}
+	}
+}

@@ -236,111 +236,37 @@ func (s *State) BestSingleMoveExact(u int) (best Move, cost float64, ok bool) {
 	return s.bestSingleMove(u, false)
 }
 
-// bestSingleMove scans candidates in CandidateMoves order (all buys in
-// ascending v, then per owned edge: the delete followed by its swaps in
-// ascending x), optionally skipping candidates that moveBounds proves
-// non-improving. Enumeration order is shared with the oracle so that the
-// first candidate attaining the minimum — which is never pruned — wins in
-// both scans.
-//
-// On top of the per-candidate pruning sit two geometric tiers (see
-// candidates.go), both gated on the global candidate-generation toggle
-// and both outcome-preserving: the metric excess certificate, which
-// reduces the scan to the agent's deletions without enumerating
-// acquisition targets at all, and the candidate tier, which walks only
-// the host's CandidateSource neighborhood inside a certified cutoff
-// radius — every unenumerated target provably satisfies the same skip
-// condition the pruned scan applies. Acquisition candidates that DO get
-// enumerated are visited in the same ascending-index order in every
-// tier, so the first-attains-the-minimum tie-break never diverges.
-func (s *State) bestSingleMove(u int, prune bool) (best Move, cost float64, ok bool) {
-	cur := s.Cost(u)
-	cost = cur
-	n := s.G.N()
-	owned := s.P.S[u]
-	r := s.G.Rules()
-	consider := func(m Move) {
-		if !r.MoveFeasible(s, m) {
-			return
-		}
-		if c := s.CostAfter(m); c < cost {
-			cost = c
-			best = m
-		}
-	}
-	finish := func() (Move, float64, bool) {
-		ok = s.G.Improves(cost, cur)
-		if !ok {
-			// The running best may hold a sub-tolerance improver that a
-			// tier with fewer enumerated candidates never saw; reset it so
-			// the "meaningless" move is one fixed value and every scan
-			// tier — and the exact oracle — returns an identical triple.
-			cost = cur
-			best = Move{}
-		}
-		return best, cost, ok
-	}
+// bestSingleMove picks the scan tier and hands its acquisition targets
+// to the one moveScan walk. On top of the per-candidate pruning sit two
+// geometric tiers (see candidates.go), both gated on the global
+// candidate-generation toggle and both outcome-preserving: the metric
+// excess certificate, which reduces the scan to the agent's deletions
+// without enumerating acquisition targets at all, and the candidate
+// tier, which walks only the host's CandidateSource neighborhood inside
+// a certified cutoff radius — every unenumerated target provably
+// satisfies the same skip condition the pruned scan applies. Every tier,
+// pruned or not, visits its moves in the walk's order, so the first
+// candidate attaining the minimum — which is never pruned — wins in all
+// of them.
+func (s *State) bestSingleMove(u int, prune bool) (Move, float64, bool) {
+	sc := s.newMoveScan(u)
 	geo := prune && CandidateGenerationEnabled()
-	if geo && s.excessRulesOutAcquisitions(u, cur, owned) {
+	if geo && s.excessRulesOutAcquisitions(u, sc.cur, sc.owned) {
 		s.scan.ExcessSkips++
-		owned.ForEach(func(v int) {
-			consider(Move{Agent: u, Kind: Delete, V: v})
-		})
-		return finish()
+		sc.walk(nil)
+		return sc.finish()
 	}
-	var pb *moveBounds
 	if prune {
-		pb = s.newMoveBounds(u, cur)
+		sc.pb = s.newMoveBounds(u, sc.cur)
 	}
-	// Adaptive bail: bound checks only pay for themselves when they
-	// actually prune (near-stable states, large α). If the first probe
-	// window prunes under a sixth of its candidates — improvement-rich
-	// states where most moves genuinely must be evaluated — stop checking
-	// and run exhaustively. The decision depends only on the scan's own
-	// history, so results stay deterministic (and pruning never changes
-	// them either way).
-	checked, prunedCnt := 0, 0
-	skip := func(y int, refund float64) bool {
-		if pb == nil || (checked >= 96 && prunedCnt*6 < checked) {
-			return false
-		}
-		checked++
-		if pb.skipAcquire(s.hostWeight(u, y), pb.duv[y], refund, cur-cost) {
-			prunedCnt++
-			return true
-		}
-		return false
-	}
-	if geo && pb != nil {
+	if geo && sc.pb != nil {
 		if src := s.G.Host.candidateSource(); src != nil {
-			if rCut, cok := pb.acquireCutoff(s.maxRefundPrice(u, owned)); cok {
+			if rCut, ok := sc.pb.acquireCutoff(s.maxRefundPrice(u, sc.owned)); ok {
 				s.scan.CandidateScans++
 				s.candBuf = src.AppendWithin(u, rCut, s.candBuf[:0])
-				cands := s.candBuf
-				s.scan.CandidatesScanned += len(cands)
-				for _, v := range cands {
-					if v == u || owned.Has(v) {
-						continue
-					}
-					if skip(v, 0) {
-						continue
-					}
-					consider(Move{Agent: u, Kind: Buy, V: v})
-				}
-				owned.ForEach(func(v int) {
-					consider(Move{Agent: u, Kind: Delete, V: v})
-					refund := pb.rules.AcquirePrice(pb.alpha, s.hostWeight(u, v))
-					for _, x := range cands {
-						if x == u || x == v || owned.Has(x) {
-							continue
-						}
-						if skip(x, refund) {
-							continue
-						}
-						consider(Move{Agent: u, Kind: Swap, V: v, X: x})
-					}
-				})
-				return finish()
+				s.scan.CandidatesScanned += len(s.candBuf)
+				sc.walk(s.candBuf)
+				return sc.finish()
 			}
 			s.scan.Fallbacks++
 		}
@@ -348,32 +274,126 @@ func (s *State) bestSingleMove(u int, prune bool) (best Move, cost float64, ok b
 	if prune {
 		s.scan.ExhaustiveScans++
 	}
-	for v := 0; v < n; v++ {
-		if v == u || owned.Has(v) {
-			continue
-		}
-		if skip(v, 0) {
-			continue
-		}
-		consider(Move{Agent: u, Kind: Buy, V: v})
+	sc.walk(s.everyVertex())
+	return sc.finish()
+}
+
+// everyVertex returns 0..n-1 in the state's reused candidate buffer: the
+// acquisition targets of the exhaustive scans.
+func (s *State) everyVertex() []int {
+	buf := s.candBuf[:0]
+	for v := range s.G.N() {
+		buf = append(buf, v)
 	}
-	owned.ForEach(func(v int) {
-		consider(Move{Agent: u, Kind: Delete, V: v})
+	s.candBuf = buf
+	return buf
+}
+
+// moveScan is the single best-move scan behind every tier, BestBuy and
+// the verifier's deletion check. Callers choose only the acquisition
+// targets and whether pb prunes; the walk fixes the order moves are
+// visited in, and the fold keeps the first candidate attaining the
+// strict minimum — so the tie-break contract lives here and nowhere
+// else. CandidateMoves lists the same moves in the same order and is
+// the tests' reference for it.
+type moveScan struct {
+	s     *State
+	rules Rules
+	u     int
+	owned bitset.Set
+	cur   float64 // u's current cost
+	cost  float64 // running minimum, starting at cur
+	best  Move
+	// pb, when non-nil, skips acquisitions its gain bounds prove
+	// non-improving; checked and pruned are the adaptive bail's counts.
+	pb              *moveBounds
+	checked, pruned int
+}
+
+func (s *State) newMoveScan(u int) moveScan {
+	cur := s.Cost(u)
+	return moveScan{s: s, rules: s.G.Rules(), u: u, owned: s.P.S[u], cur: cur, cost: cur}
+}
+
+// walk visits agent u's single-edge moves in the scan order: a Buy
+// towards each target, then for each owned v in ascending order, Delete
+// v followed by a Swap of v towards each target. targets must be
+// ascending; u and owned vertices are never acquired. A nil target list
+// walks the deletions alone.
+func (sc *moveScan) walk(targets []int) {
+	sc.buys(targets)
+	sc.owned.ForEach(func(v int) {
+		sc.consider(Move{Agent: sc.u, Kind: Delete, V: v})
 		var refund float64
-		if pb != nil {
-			refund = pb.rules.AcquirePrice(pb.alpha, s.hostWeight(u, v))
+		if sc.pb != nil {
+			refund = sc.pb.rules.AcquirePrice(sc.pb.alpha, sc.s.hostWeight(sc.u, v))
 		}
-		for x := 0; x < n; x++ {
-			if x == u || x == v || owned.Has(x) {
-				continue
+		for _, x := range targets {
+			if sc.acquires(x, refund) {
+				sc.consider(Move{Agent: sc.u, Kind: Swap, V: v, X: x})
 			}
-			if skip(x, refund) {
-				continue
-			}
-			consider(Move{Agent: u, Kind: Swap, V: v, X: x})
 		}
 	})
-	return finish()
+}
+
+// buys is the walk's first leg: a Buy towards each target.
+func (sc *moveScan) buys(targets []int) {
+	for _, v := range targets {
+		if sc.acquires(v, 0) {
+			sc.consider(Move{Agent: sc.u, Kind: Buy, V: v})
+		}
+	}
+}
+
+// acquires reports whether the walk evaluates an acquisition towards y
+// (refund is the swapped-out edge's price, 0 for a buy): y must be
+// acquirable, and the bounds, while they still pay, must not rule it
+// out.
+//
+// Adaptive bail: bound checks only pay for themselves when they
+// actually prune (near-stable states, large α). If the first probe
+// window prunes under a sixth of its candidates — improvement-rich
+// states where most moves genuinely must be evaluated — stop checking
+// and run exhaustively. The decision depends only on the scan's own
+// history, so results stay deterministic (and pruning never changes
+// them either way).
+func (sc *moveScan) acquires(y int, refund float64) bool {
+	if y == sc.u || sc.owned.Has(y) {
+		return false
+	}
+	if sc.pb == nil || (sc.checked >= 96 && sc.pruned*6 < sc.checked) {
+		return true
+	}
+	sc.checked++
+	if sc.pb.skipAcquire(sc.s.hostWeight(sc.u, y), sc.pb.duv[y], refund, sc.cur-sc.cost) {
+		sc.pruned++
+		return false
+	}
+	return true
+}
+
+// consider folds one move: a model-feasible move whose cost is strictly
+// below the running minimum becomes the best.
+func (sc *moveScan) consider(m Move) {
+	if !sc.rules.MoveFeasible(sc.s, m) {
+		return
+	}
+	if c := sc.s.CostAfter(m); c < sc.cost {
+		sc.cost = c
+		sc.best = m
+	}
+}
+
+// finish returns the scan's (move, cost, ok) triple.
+func (sc *moveScan) finish() (Move, float64, bool) {
+	if !sc.s.G.Improves(sc.cost, sc.cur) {
+		// The running best may hold a sub-tolerance improver that a tier
+		// with fewer enumerated candidates never saw; reset it so the
+		// "meaningless" move is one fixed value and every scan tier — and
+		// the exact oracle — returns an identical triple.
+		return Move{}, sc.cur, false
+	}
+	return sc.best, sc.cost, true
 }
 
 // moveBounds holds the per-agent quantities behind the pruned move scan.
@@ -430,6 +450,12 @@ type moveBounds struct {
 
 type distDemand struct{ d, t float64 }
 
+// costSlack is the float slack of every gain bound at current cost cur:
+// it absorbs the ulp-level divergence between the real-arithmetic bounds
+// and float path sums, so no bound rules out a move the exact oracle
+// would accept.
+func costSlack(cur float64) float64 { return 1e-11 * (1 + math.Abs(cur)) }
+
 func (s *State) newMoveBounds(u int, cur float64) *moveBounds {
 	if math.IsInf(cur, 1) {
 		return nil
@@ -443,7 +469,7 @@ func (s *State) newMoveBounds(u int, cur float64) *moveBounds {
 		duv:   append([]float64(nil), row...), // Dist rows are repaired in place mid-scan
 		alpha: s.G.Alpha,
 		eps:   s.G.Eps,
-		slack: 1e-11 * (1 + math.Abs(cur)),
+		slack: costSlack(cur),
 		rules: r,
 	}
 	pb.pairs = make([]distDemand, 0, len(row))
@@ -554,31 +580,12 @@ func (pb *moveBounds) skipAcquire(w, duy, refund, bestGain float64) bool {
 }
 
 // BestBuy returns agent u's best single Buy move, mirroring the add-only
-// equilibrium notion. Buys the cost model rules infeasible are skipped.
+// equilibrium notion: the scan's buy leg over every vertex, unpruned.
+// Buys the cost model rules infeasible are skipped.
 func (s *State) BestBuy(u int) (best Move, cost float64, ok bool) {
-	cur := s.Cost(u)
-	cost = cur
-	n := s.G.N()
-	r := s.G.Rules()
-	for v := 0; v < n; v++ {
-		if v == u || s.P.S[u].Has(v) {
-			continue
-		}
-		m := Move{Agent: u, Kind: Buy, V: v}
-		if !r.MoveFeasible(s, m) {
-			continue
-		}
-		if c := s.CostAfter(m); c < cost {
-			cost = c
-			best = m
-		}
-	}
-	ok = s.G.Improves(cost, cur)
-	if !ok {
-		cost = cur
-		best = Move{}
-	}
-	return best, cost, ok
+	sc := s.newMoveScan(u)
+	sc.buys(s.everyVertex())
+	return sc.finish()
 }
 
 // IsAddOnlyEquilibrium reports whether no agent can strictly improve by

@@ -98,9 +98,6 @@ func (p Profile) Buy(u, v int) {
 	p.S[u].Add(v)
 }
 
-// Unbuy removes v from S_u.
-func (p Profile) Unbuy(u, v int) { p.S[u].Remove(v) }
-
 // Clone returns a deep copy.
 func (p Profile) Clone() Profile {
 	c := Profile{S: make([]bitset.Set, len(p.S))}

@@ -38,7 +38,8 @@ type State struct {
 	eval *evalScratch
 
 	// scan accumulates best-response scan telemetry (see candidates.go);
-	// candBuf is the reused scratch buffer for candidate-source queries.
+	// candBuf is the scans' reused target list (a candidate-source
+	// query's result, or every vertex).
 	// Clones and shared views start with zero counters and a nil buffer.
 	scan    ScanStats
 	candBuf []int

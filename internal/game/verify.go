@@ -104,21 +104,7 @@ func (s *State) AcquireGainCertificate(u int) (cert GainCertificate, ok bool) {
 			cert.AcquireBound = net
 		}
 	}
-	// AcquirePrice is monotone in w (interface contract), so the largest
-	// refund is the price of the heaviest owned edge; an agent that owns
-	// nothing can make no swap and refunds nothing.
-	maxW, ownsAny := 0.0, false
-	owned.ForEach(func(v int) {
-		ownsAny = true
-		if w := s.hostWeight(u, v); w > maxW {
-			maxW = w
-		}
-	})
-	if ownsAny {
-		cert.MaxRefund = pb.rules.AcquirePrice(pb.alpha, maxW)
-	} else {
-		cert.MaxRefund = 0
-	}
+	cert.MaxRefund = s.maxRefundPrice(u, owned)
 	return cert, true
 }
 
@@ -184,9 +170,11 @@ type agentVerdict struct {
 // Each agent is checked at the cheapest sufficient tier: its
 // GainCertificate first (one O(n log n) bound pass); if the certificate
 // rules out every buy and swap, only the agent's |S_u| deletions are
-// evaluated exactly and the quadratic candidate scan is skipped
-// entirely (counted in CertSkipped). Otherwise the agent runs a full
-// scan — pruned by default, exhaustive under Exact.
+// evaluated exactly — the moveScan walk with no acquisition targets —
+// and the quadratic candidate scan is skipped entirely (counted in
+// CertSkipped). Otherwise the agent runs a full scan — pruned by
+// default, exhaustive under Exact. Every branch folds its moves through
+// the one scan walk of moves.go; the verifier enumerates none itself.
 func VerifyGreedyEquilibrium(s *State, opt VerifyOptions) VerifyResult {
 	n := s.G.N()
 	workers := opt.Workers
@@ -225,22 +213,11 @@ func verifyAgent(work *State, u int, opt VerifyOptions) (v agentVerdict) {
 	if !opt.NoCertificates && !math.IsInf(cur, 1) {
 		if cert, ok := work.AcquireGainCertificate(u); ok && cert.RulesOutAcquisitions(work.G.Eps) {
 			// Buys and swaps are ruled out; only the agent's own
-			// deletions remain, and there are at most |S_u| of them.
-			// Feasibility-gate them exactly as the full scan would.
-			r := work.G.Rules()
-			work.P.S[u].ForEach(func(x int) {
-				if v.improving {
-					return
-				}
-				m := Move{Agent: u, Kind: Delete, V: x}
-				if !r.MoveFeasible(work, m) {
-					return
-				}
-				after := work.CostAfter(m)
-				if work.G.Improves(after, cur) {
-					v.improving = true
-				}
-			})
+			// deletions remain, at most |S_u| of them: the scan's walk
+			// with no acquisition targets.
+			sc := work.newMoveScan(u)
+			sc.walk(nil)
+			_, _, v.improving = sc.finish()
 			v.skipped = true
 			return v
 		}

@@ -130,12 +130,6 @@ func (g *Graph) Neighbors(u int, fn func(v int, w float64)) {
 	}
 }
 
-// Degree returns the number of edges incident to u.
-func (g *Graph) Degree(u int) int {
-	g.checkVertex(u)
-	return len(g.adj[u])
-}
-
 // Clone returns a deep copy.
 func (g *Graph) Clone() *Graph {
 	c := New(g.n)

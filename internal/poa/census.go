@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"math"
 
-	"gncg/internal/bitset"
+	"gncg/internal/dynamics"
 	"gncg/internal/game"
 	"gncg/internal/parallel"
 )
@@ -84,7 +84,7 @@ func ExhaustiveCensus(g *game.Game) (Census, error) {
 	for u := 0; u < n; u++ {
 		feas[u] = make([]bool, perAgent)
 		for alt := 0; alt < perAgent; alt++ {
-			feas[u][alt] = rules.Feasible(g, u, decodeStrategy(alt, u, n))
+			feas[u][alt] = rules.Feasible(g, u, dynamics.StrategySet(n, u, alt))
 		}
 	}
 	profFeasible := func(idx int) bool {
@@ -102,7 +102,7 @@ func ExhaustiveCensus(g *game.Game) (Census, error) {
 		social float64
 	}
 	infos := parallel.Map(total, func(idx int) profInfo {
-		s := game.NewState(g, decodeProfile(idx, n, perAgent))
+		s := game.NewState(g, dynamics.DecodeProfile(idx, n, perAgent))
 		pi := profInfo{costs: make([]float64, n)}
 		for u := 0; u < n; u++ {
 			pi.costs[u] = s.Cost(u)
@@ -127,11 +127,11 @@ func ExhaustiveCensus(g *game.Game) (Census, error) {
 				if !feas[u][alt] {
 					continue // inadmissible deviation under the model
 				}
-				nidx := replaceAgentStrategy(idx, u, alt, n, perAgent)
+				nidx := dynamics.ReplaceAgentStrategy(idx, u, alt, perAgent)
 				if nidx == idx {
 					continue
 				}
-				if improvesEps(infos[nidx].costs[u], cur, g.Eps) {
+				if g.Improves(infos[nidx].costs[u], cur) {
 					return false
 				}
 			}
@@ -148,67 +148,12 @@ func ExhaustiveCensus(g *game.Game) (Census, error) {
 		c.Nash++
 		if infos[idx].social < c.BestNECost {
 			c.BestNECost = infos[idx].social
-			c.BestNE = decodeProfile(idx, n, perAgent)
+			c.BestNE = dynamics.DecodeProfile(idx, n, perAgent)
 		}
 		if infos[idx].social > c.WorstNECost {
 			c.WorstNECost = infos[idx].social
-			c.WorstNE = decodeProfile(idx, n, perAgent)
+			c.WorstNE = dynamics.DecodeProfile(idx, n, perAgent)
 		}
 	}
 	return c, nil
-}
-
-func improvesEps(newCost, oldCost, eps float64) bool {
-	if math.IsInf(oldCost, 1) {
-		return !math.IsInf(newCost, 1)
-	}
-	return newCost < oldCost-eps
-}
-
-// decodeProfile expands a packed profile index: agent u's digit (base
-// perAgent) is a bitmask over the other agents in increasing order.
-// Mirrors the encoding in the dynamics package's exhaustive FIP check.
-func decodeProfile(idx, n, perAgent int) game.Profile {
-	p := game.EmptyProfile(n)
-	for u := 0; u < n; u++ {
-		mask := idx % perAgent
-		idx /= perAgent
-		bit := 0
-		for v := 0; v < n; v++ {
-			if v == u {
-				continue
-			}
-			if mask&(1<<bit) != 0 {
-				p.Buy(u, v)
-			}
-			bit++
-		}
-	}
-	return p
-}
-
-// decodeStrategy expands one agent digit into that agent's strategy
-// set, with decodeProfile's bit order (the other agents, increasing).
-func decodeStrategy(mask, u, n int) bitset.Set {
-	strat := bitset.New(n)
-	bit := 0
-	for v := 0; v < n; v++ {
-		if v == u {
-			continue
-		}
-		if mask&(1<<bit) != 0 {
-			strat.Add(v)
-		}
-		bit++
-	}
-	return strat
-}
-
-func replaceAgentStrategy(idx, u, alt, n, perAgent int) int {
-	pow := 1
-	for i := 0; i < u; i++ {
-		pow *= perAgent
-	}
-	digit := (idx / pow) % perAgent
-	return idx + (alt-digit)*pow
 }

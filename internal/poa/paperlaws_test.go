@@ -8,6 +8,7 @@ import (
 	"math"
 	"testing"
 
+	"gncg/internal/dynamics"
 	"gncg/internal/game"
 	"gncg/internal/gen"
 	"gncg/internal/graph"
@@ -26,7 +27,7 @@ func allNashProfiles(t *testing.T, g *game.Game) []game.Profile {
 		total *= perAgent
 	}
 	costs := parallel.Map(total, func(idx int) []float64 {
-		s := game.NewState(g, decodeProfile(idx, n, perAgent))
+		s := game.NewState(g, dynamics.DecodeProfile(idx, n, perAgent))
 		out := make([]float64, n)
 		for u := 0; u < n; u++ {
 			out[u] = s.Cost(u)
@@ -38,15 +39,15 @@ func allNashProfiles(t *testing.T, g *game.Game) []game.Profile {
 		ne := true
 		for u := 0; u < n && ne; u++ {
 			for alt := 0; alt < perAgent; alt++ {
-				nidx := replaceAgentStrategy(idx, u, alt, n, perAgent)
-				if nidx != idx && improvesEps(costs[nidx][u], costs[idx][u], g.Eps) {
+				nidx := dynamics.ReplaceAgentStrategy(idx, u, alt, perAgent)
+				if nidx != idx && g.Improves(costs[nidx][u], costs[idx][u]) {
 					ne = false
 					break
 				}
 			}
 		}
 		if ne {
-			out = append(out, decodeProfile(idx, n, perAgent))
+			out = append(out, dynamics.DecodeProfile(idx, n, perAgent))
 		}
 	}
 	return out
@@ -161,7 +162,7 @@ func TestLemma1AllAEAreSpanners(t *testing.T) {
 		perAgent := 1 << (n - 1)
 		total := perAgent * perAgent * perAgent * perAgent
 		for idx := 0; idx < total; idx++ {
-			s := game.NewState(g, decodeProfile(idx, n, perAgent))
+			s := game.NewState(g, dynamics.DecodeProfile(idx, n, perAgent))
 			if !s.Connected() || !s.IsAddOnlyEquilibrium() {
 				continue
 			}
@@ -207,7 +208,7 @@ func TestThm2AllConnectedAEAreAlphaPlus1GE(t *testing.T) {
 		perAgent := 1 << (n - 1)
 		total := perAgent * perAgent * perAgent * perAgent
 		for idx := 0; idx < total; idx++ {
-			s := game.NewState(g, decodeProfile(idx, n, perAgent))
+			s := game.NewState(g, dynamics.DecodeProfile(idx, n, perAgent))
 			if !s.Connected() || !s.IsAddOnlyEquilibrium() {
 				continue
 			}
