@@ -43,7 +43,7 @@ func TestRemainingFacadeSurface(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m := DensifyHost(host); m[0][1] != host.Weight(0, 1) || &m[0][0] != &host.Matrix()[0][0] {
+	if m := DensifyHost(host); m[0][1] != host.Weight(0, 1) || &m[0][0] != &host.Densify()[0][0] {
 		t.Fatal("DensifyHost must return the host's shared memoized dense view")
 	}
 	g := NewGame(host, 1)

@@ -20,7 +20,7 @@
 // host costs O(n) memory — 10k+ agents are practical. Classification and
 // metricity checks answer structurally in O(1) for implicit spaces. The
 // dense O(n²) matrix exists only after an explicit DensifyHost /
-// Host.Matrix call and is memoized and shared; callers must not mutate
+// Host.Densify call and is memoized and shared; callers must not mutate
 // it.
 //
 // Quick start:

@@ -89,11 +89,11 @@ func TestFig8GameShape(t *testing.T) {
 // TestFig8InstancesIndependent: separate Fig8Game calls must not share
 // host storage — their dense views are distinct allocations with equal
 // content. (A previous version of this test mutated one host's matrix to
-// probe for sharing, which the Matrix()/Densify() contract now forbids;
-// see TestMatrixDensifyAliasing in internal/game.)
+// probe for sharing, which the Densify() contract now forbids; see
+// TestMatrixDensifyAliasing in internal/game.)
 func TestFig8InstancesIndependent(t *testing.T) {
-	m1 := Fig8Game(1).Host.Matrix()
-	m2 := Fig8Game(1).Host.Matrix()
+	m1 := Fig8Game(1).Host.Densify()
+	m2 := Fig8Game(1).Host.Densify()
 	if &m1[0][0] == &m2[0][0] {
 		t.Fatal("Fig8Game instances share dense-view storage")
 	}

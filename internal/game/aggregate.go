@@ -16,9 +16,10 @@ package game
 // maintenance recomputes exactly the dirty blocks (the blocks containing
 // touched entries) and refolds the block sums — identical values to a
 // from-scratch fold because every kept block sum was itself a fold of
-// unchanged entries. DistCost's uncached path uses the same shape, so
-// cached, incrementally-maintained and freshly-recomputed costs are all
-// bit-identical, which the property tests pin across the host corpus.
+// unchanged entries. The from-scratch fold (foldDistCost) uses the same
+// shape, so cached, incrementally-maintained and freshly-recomputed costs
+// are all bit-identical, which the property tests pin across the host
+// corpus.
 //
 // The shape also keeps the old left-to-right semantics on small
 // instances: for n ≤ aggBlock there is a single block and the fold is
@@ -81,8 +82,8 @@ func (s *State) foldBlock(u int, row []float64, lo, hi int) float64 {
 }
 
 // foldDistCost computes Σ_v t(u,v)·d(u,v) over the row with the canonical
-// fold shape. This is the from-scratch path (uncached states, aggregate
-// rebuilds); it is bit-identical to any sequence of incremental block
+// fold shape. This is the from-scratch path (rows read outside the
+// cache, aggregate rebuilds); it is bit-identical to any sequence of incremental block
 // updates landing on the same row.
 func (s *State) foldDistCost(u int, row []float64) float64 {
 	total := 0.0
@@ -152,7 +153,7 @@ func (c *distCache) finishAggUpdate(s *State, i int, row []float64) {
 // current, rebuilding it first if the traffic matrix or the cost model
 // changed since it was computed; nil otherwise. Caller holds c.mu.
 func (c *distCache) currentAggLocked(s *State, u int) *rowAgg {
-	if c.off || c.rows[u] == nil || c.rowPos[u] != c.head {
+	if c.rows[u] == nil || c.rowPos[u] != c.head {
 		return nil
 	}
 	a := &c.agg[u]

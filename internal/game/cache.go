@@ -35,6 +35,9 @@ import (
 // network, the log, every cached row and every row position stay exactly
 // as they were (see moves.go).
 //
+// Every distance query goes through the cache; the uncached reference
+// the property tests compare against is a fresh Dijkstra folded in the
+// same fixed shape (foldDistCost).
 // Cached rows are capped (rowCacheCap) so the cache holds O(cap·n)
 // floats, not O(n²), at scale; a clock sweep evicts stale rows first.
 // Eviction and laziness change which queries are cache hits but never
@@ -72,8 +75,6 @@ type distCache struct {
 	aggDirty []bool
 
 	stats CacheStats
-
-	off bool
 }
 
 // CacheStats counts distance-cache events over a state's lifetime — the
@@ -151,7 +152,7 @@ var rowCacheCap = func(n int) int {
 	return c
 }
 
-func newDistCache(n int, off bool) *distCache {
+func newDistCache(n int) *distCache {
 	return &distCache{
 		rows:     make([][]float64, n),
 		rowPos:   make([]uint64, n),
@@ -160,7 +161,6 @@ func newDistCache(n int, off bool) *distCache {
 		avoid:    make([][][]float64, n),
 		avoidPos: make([]uint64, n),
 		aggDirty: make([]bool, (n+aggBlock-1)/aggBlock),
-		off:      off,
 	}
 }
 
@@ -312,10 +312,6 @@ func (c *distCache) evictOneLocked(keep int) {
 func (s *State) Dist(src int) []float64 {
 	c := s.cache
 	c.mu.Lock()
-	if c.off {
-		c.mu.Unlock()
-		return s.net.Dijkstra(src)
-	}
 	if row := c.rows[src]; row != nil {
 		if c.rowPos[src] == c.head {
 			c.stats.Hits++
@@ -351,17 +347,14 @@ func (s *State) Dist(src int) []float64 {
 // copyCurrentRow copies source u's cached row and its aggregate block
 // sums into row and blocks when the row is current. It never replays,
 // computes or publishes a row: ok is false — counted as a miss — when
-// the row is cold or stale (or caching is off, uncounted), and the
-// caller then runs its own Dijkstra.
+// the row is cold or stale, and the caller then runs its own Dijkstra.
 func (s *State) copyCurrentRow(u int, row, blocks []float64) (ok bool) {
 	c := s.cache
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	a := c.currentAggLocked(s, u)
 	if a == nil {
-		if !c.off {
-			c.stats.Misses++
-		}
+		c.stats.Misses++
 		return false
 	}
 	copy(row, c.rows[u])
@@ -380,10 +373,6 @@ func (s *State) APSPAvoiding(avoid int) [][]float64 {
 		return s.net.APSPAvoiding(avoid)
 	}
 	c.mu.Lock()
-	if c.off {
-		c.mu.Unlock()
-		return s.net.APSPAvoiding(avoid)
-	}
 	if c.avoid[avoid] != nil && c.avoidPos[avoid] == c.head {
 		m := c.avoid[avoid]
 		c.mu.Unlock()
@@ -399,23 +388,4 @@ func (s *State) APSPAvoiding(avoid int) [][]float64 {
 	}
 	c.mu.Unlock()
 	return m
-}
-
-// SetDistCaching toggles distance memoization on the state (on by
-// default). Turning it off makes every cost query recompute from scratch
-// — the uncached baseline used by benchmarks and correctness tests.
-// Delta logging continues while the toggle is off, so re-enabling is
-// always safe: parked rows either replay across the logged changes or
-// fall behind the horizon and recompute.
-func (s *State) SetDistCaching(on bool) {
-	s.cache.mu.Lock()
-	s.cache.off = !on
-	s.cache.mu.Unlock()
-}
-
-// DistCachingEnabled reports whether distance memoization is on.
-func (s *State) DistCachingEnabled() bool {
-	s.cache.mu.Lock()
-	defer s.cache.mu.Unlock()
-	return !s.cache.off
 }

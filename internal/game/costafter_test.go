@@ -91,7 +91,8 @@ func assertCostAfterMatchesOracle(t *testing.T, s *game.State, ctx string) {
 // (plus zero-weight ties) under every registered cost model: on a fresh
 // state, after applied moves leave rows stale, with doubly-owned edges
 // forced in, with every row cold, every row warm, one row current and
-// the rest stale, under non-uniform traffic, and with caching off.
+// the rest stale, under non-uniform traffic, and on a cold clone of the
+// moved state.
 func runCostAfterCorpus(t *testing.T, seeds int64) {
 	flavors := append([]string{"zeroties"}, game.CorpusFlavors...)
 	for _, model := range rules.Names() {
@@ -141,8 +142,7 @@ func runCostAfterCorpus(t *testing.T, seeds int64) {
 					assertCostAfterMatchesOracle(t, s, ctx+"/traffic")
 					g.SetTraffic(nil)
 				}
-				s.SetDistCaching(false)
-				assertCostAfterMatchesOracle(t, s, ctx+"/uncached")
+				assertCostAfterMatchesOracle(t, s.Clone(), ctx+"/cold clone")
 			}
 		}
 	}

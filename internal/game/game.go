@@ -86,7 +86,7 @@ func (h *Host) Weight(u, v int) float64 {
 // and construction time on first call, O(1) afterwards. Spaces that
 // already hold a dense matrix (matrix-backed hosts) are reused without
 // copying. The returned matrix is the host's single shared dense view —
-// callers must treat it as immutable; see also Matrix.
+// callers must treat it as immutable.
 func (h *Host) Densify() [][]float64 {
 	h.denseOnce.Do(func() {
 		var m [][]float64
@@ -99,12 +99,6 @@ func (h *Host) Densify() [][]float64 {
 	})
 	return *h.dense.Load()
 }
-
-// Matrix returns the host's dense weight matrix. It is an alias for
-// Densify: the first call on a lazily-backed host pays the O(n²)
-// materialization, and every call returns the same shared, memoized view.
-// Callers must not mutate it.
-func (h *Host) Matrix() [][]float64 { return h.Densify() }
 
 // Classify places the host in the paper's model hierarchy. Spaces with
 // the metric.Classifier capability (points, trees, unit, {1,2}, {1,∞})

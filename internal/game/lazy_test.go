@@ -33,20 +33,16 @@ func densified(t *testing.T, h *Host) *Host {
 	return d
 }
 
-// TestMatrixDensifyAliasing pins the dense-view contract: Matrix and
-// Densify return the same shared memoized matrix, repeated calls alias it,
-// Weight agrees with it, and matrix-backed hosts reuse (not copy) the
+// TestMatrixDensifyAliasing pins the dense-view contract: Densify
+// returns one shared memoized matrix, repeated calls alias it, Weight
+// agrees with it, and matrix-backed hosts reuse (not copy) the
 // matrix they were built from. The view is immutable by contract — code
 // that needs a private mutable matrix must copy it.
 func TestMatrixDensifyAliasing(t *testing.T) {
 	h := NewHost(gen.Points(3, 9, 2, 10, 2))
-	m := h.Matrix()
-	d := h.Densify()
-	if &m[0][0] != &d[0][0] {
-		t.Fatal("Matrix() and Densify() must return the same memoized view")
-	}
-	if m2 := h.Matrix(); &m2[0][0] != &m[0][0] {
-		t.Fatal("repeated Matrix() calls must alias the same view")
+	m := h.Densify()
+	if m2 := h.Densify(); &m2[0][0] != &m[0][0] {
+		t.Fatal("repeated Densify() calls must alias the same view")
 	}
 	for u := 0; u < h.N(); u++ {
 		for v := 0; v < h.N(); v++ {
@@ -62,12 +58,12 @@ func TestMatrixDensifyAliasing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := mb.Matrix(); &got[0][0] != &w[0][0] {
+	if got := mb.Densify(); &got[0][0] != &w[0][0] {
 		t.Fatal("matrix-backed host must reuse the input matrix as its dense view")
 	}
 	// Independent hosts over the same space never share dense storage.
 	sp := gen.Points(3, 5, 2, 10, 2)
-	a, b := NewHost(sp).Matrix(), NewHost(sp).Matrix()
+	a, b := NewHost(sp).Densify(), NewHost(sp).Densify()
 	if &a[0][0] == &b[0][0] {
 		t.Fatal("distinct hosts share dense-view storage")
 	}

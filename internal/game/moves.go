@@ -110,8 +110,8 @@ func (s *State) Apply(m Move) {
 // overlay of the unmodified network (graph.RepairRowOverlay), then
 // refolds only the aggregate blocks the repair touched over the row's
 // cached block sums. A cold or stale row (scans read Cost(u) first, so
-// the mover's row is normally current), a refused removal repair, or a
-// state with caching off runs a Dijkstra over the same overlay instead.
+// the mover's row is normally current) or a refused removal repair runs
+// a Dijkstra over the same overlay instead.
 // Every path yields exactly the row a fresh Dijkstra on the moved network
 // would, folded in the aggregates' fixed shape, and prices the strategy
 // with the same fold as EdgeCost — so the result is bit-identical to

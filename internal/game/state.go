@@ -13,8 +13,8 @@ import (
 // cache.go). All cost queries and move evaluations go through a State.
 //
 // Concurrency: a State is never safe to mutate concurrently with
-// anything (SetStrategy, Apply, SetDistCaching and the rest of the
-// mutators are single-threaded). While it is frozen, the cache-backed
+// anything (SetStrategy, Apply and the rest of the mutators are
+// single-threaded). While it is frozen, the cache-backed
 // reads — Dist, Cost, DistCost, SocialCost, APSPAvoiding,
 // AcquireGainCertificate, CacheStats — are safe from any number of
 // goroutines. CostAfter and the scans (BestSingleMove and its tiers)
@@ -52,7 +52,7 @@ func NewState(g *Game, p Profile) *State {
 	if p.N() != g.N() {
 		panic("game: profile size does not match host")
 	}
-	s := &State{G: g, P: p, cache: newDistCache(g.N(), false)}
+	s := &State{G: g, P: p, cache: newDistCache(g.N())}
 	s.rebuild()
 	return s
 }
@@ -77,12 +77,12 @@ func (s *State) hostWeight(u, v int) float64 { return s.G.Host.Weight(u, v) }
 // Network returns the created network G(s). Callers must not mutate it.
 func (s *State) Network() *graph.Graph { return s.net }
 
-// Clone returns an independent copy of the state (with a fresh, empty
-// distance cache inheriting the original's on/off toggle).
+// Clone returns an independent copy of the state with a fresh, empty
+// distance cache.
 func (s *State) Clone() *State {
 	return &State{
 		G: s.G, P: s.P.Clone(), net: s.net.Clone(),
-		cache: newDistCache(s.G.N(), s.cache.off),
+		cache: newDistCache(s.G.N()),
 	}
 }
 
@@ -177,17 +177,17 @@ func (s *State) EdgeCost(u int) float64 {
 // DistCost returns Σ_v t(u,v)·d_{G(s)}(u,v), where t is the game's
 // traffic matrix (uniformly 1 in the paper's model); +Inf if u cannot
 // reach a node it has positive demand towards. Cached rows answer in
-// O(1) from their maintained aggregate (see aggregate.go); uncached
-// queries fold the row in the same fixed shape, so the two paths are
-// bit-identical.
+// O(1) from their maintained aggregate (see aggregate.go); a row that
+// is not cached when read is folded in the same fixed shape, so the two
+// paths are bit-identical.
 func (s *State) DistCost(u int) float64 {
 	if total, ok := s.cache.aggTotal(s, u, true); ok {
 		return total
 	}
 	row := s.Dist(u)
 	// Dist may have replayed or recomputed the row, publishing a current
-	// aggregate as a side effect; a second miss means caching is off (or
-	// the row was immediately evicted) — fold the row we hold.
+	// aggregate as a side effect; a second miss means a concurrent reader
+	// evicted it already — fold the row we hold.
 	if total, ok := s.cache.aggTotal(s, u, false); ok {
 		return total
 	}

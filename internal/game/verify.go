@@ -120,10 +120,6 @@ type VerifyOptions struct {
 	// (false) uses the pruned scan — outcome-identical by the pruning
 	// contract, and faster.
 	Exact bool
-	// NoCertificates disables gain-bound skipping: every agent runs a
-	// full scan. The verdict is unchanged (certificates are
-	// conservative); only CertSkipped/Scanned and wall time differ.
-	NoCertificates bool
 }
 
 // VerifyResult reports a concurrent verification.
@@ -210,7 +206,7 @@ func VerifyGreedyEquilibrium(s *State, opt VerifyOptions) VerifyResult {
 // The verdict is a pure function of the state and options.
 func verifyAgent(work *State, u int, opt VerifyOptions) (v agentVerdict) {
 	cur := work.Cost(u)
-	if !opt.NoCertificates && !math.IsInf(cur, 1) {
+	if !math.IsInf(cur, 1) {
 		if cert, ok := work.AcquireGainCertificate(u); ok && cert.RulesOutAcquisitions(work.G.Eps) {
 			// Buys and swaps are ruled out; only the agent's own
 			// deletions remain, at most |S_u| of them: the scan's walk

@@ -1,10 +1,14 @@
 // Package graph provides the weighted-graph substrate for the network
 // creation game: adjacency-list graphs with float64 weights, single-source
-// shortest paths (binary-heap Dijkstra), dynamic single-edge repair of
-// Dijkstra rows (Ramalingam–Reps style; see repair.go), parallel all-pairs
-// shortest paths, a dense Floyd–Warshall used as a correctness cross-check,
-// Prim's minimum spanning tree, and structural queries (connectivity,
-// diameter, cycles).
+// shortest paths (binary-heap Dijkstra), dynamic repair of Dijkstra rows
+// across edge edits (Ramalingam–Reps style; see repair.go), parallel
+// all-pairs shortest paths, a dense Floyd–Warshall used as a correctness
+// cross-check, Prim's minimum spanning tree, and structural queries
+// (connectivity, diameter, trees).
+//
+// Every shortest-path row is settled by one relaxation loop (drain in
+// shortestpath.go): Dijkstra and DijkstraOverlay seed it with the source
+// and the added edges, the repairs with the entries an edit changed.
 //
 // Absent connections are represented by +Inf distances. Edge weights must
 // be non-negative (Dijkstra's precondition); zero weights are legal and do

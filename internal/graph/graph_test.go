@@ -154,28 +154,21 @@ func TestAPSPSymmetric(t *testing.T) {
 	}
 }
 
-func TestDijkstraAvoiding(t *testing.T) {
-	// Path 0-1-2; avoiding 1 disconnects 0 from 2.
-	g := New(3)
-	g.AddEdge(0, 1, 1)
-	g.AddEdge(1, 2, 1)
-	d := g.DijkstraAvoiding(0, 1)
-	if !math.IsInf(d[2], 1) {
-		t.Fatalf("avoiding middle vertex: d(0,2) = %v, want +Inf", d[2])
-	}
-	if !math.IsInf(d[1], 1) {
-		t.Fatal("avoided vertex distance must be +Inf")
-	}
-}
-
 // TestAPSPAvoidingMatchesDeletion cross-checks vertex-avoiding APSP against
-// explicitly deleting the vertex's incident edges.
+// explicitly deleting the vertex's incident edges, and checks that row
+// and column `avoid` are +Inf. Trial -1 is the path 0-1-2 avoiding its
+// middle vertex, which disconnects 0 from 2.
 func TestAPSPAvoidingMatchesDeletion(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 20; trial++ {
-		n := 3 + rng.Intn(15)
-		g := randomGraph(rng, n, 0.4)
-		avoid := rng.Intn(n)
+	for trial := -1; trial < 20; trial++ {
+		n, g, avoid := 3, New(3), 1
+		g.AddEdge(0, 1, 1)
+		g.AddEdge(1, 2, 1)
+		if trial >= 0 {
+			n = 3 + rng.Intn(15)
+			g = randomGraph(rng, n, 0.4)
+			avoid = rng.Intn(n)
+		}
 		deleted := g.Clone()
 		for v := 0; v < n; v++ {
 			deleted.RemoveEdge(avoid, v)
@@ -185,6 +178,9 @@ func TestAPSPAvoidingMatchesDeletion(t *testing.T) {
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
 				if i == avoid || j == avoid {
+					if !math.IsInf(got[i][j], 1) {
+						t.Fatalf("trial %d avoid %d: (%d,%d) = %v, want +Inf", trial, avoid, i, j, got[i][j])
+					}
 					continue
 				}
 				a, b := got[i][j], want[i][j]
@@ -204,11 +200,11 @@ func TestConnectivityAndTree(t *testing.T) {
 		t.Error("disconnected graph reported connected")
 	}
 	g.AddEdge(2, 3, 1)
-	if !g.Connected() || !g.IsTree() || g.HasCycle() {
-		t.Error("path graph must be a connected acyclic tree")
+	if !g.Connected() || !g.IsTree() {
+		t.Error("path graph must be a connected tree")
 	}
 	g.AddEdge(0, 3, 1)
-	if g.IsTree() || !g.HasCycle() {
+	if g.IsTree() {
 		t.Error("cycle graph misclassified")
 	}
 }
@@ -221,8 +217,13 @@ func TestDiameterAndEccentricity(t *testing.T) {
 	if got := g.Diameter(); got != 6 {
 		t.Fatalf("Diameter = %v, want 6", got)
 	}
-	if got := g.Eccentricity(1); got != 5 {
-		t.Fatalf("Eccentricity(1) = %v, want 5", got)
+	// The diameter is the largest eccentricity, max_v d(u,v).
+	ecc := 0.0
+	for _, d := range g.Dijkstra(1) {
+		ecc = math.Max(ecc, d)
+	}
+	if ecc != 5 {
+		t.Fatalf("eccentricity of 1 = %v, want 5", ecc)
 	}
 	disc := New(3)
 	disc.AddEdge(0, 1, 1)
@@ -295,6 +296,17 @@ func TestMSTForest(t *testing.T) {
 	edges, w := g.MST()
 	if len(edges) != 2 || w != 3 {
 		t.Fatalf("forest MST = %v weight %v", edges, w)
+	}
+}
+
+// TestMSTForestNoPerComponentAllocation: a spanning forest of k
+// components allocates O(1) objects, not a fresh n-slot heap per
+// component (k·n slots on an edgeless graph).
+func TestMSTForestNoPerComponentAllocation(t *testing.T) {
+	g := New(1000)
+	allocs := testing.AllocsPerRun(5, func() { g.MST() })
+	if allocs > 8 {
+		t.Fatalf("MST of an edgeless 1000-vertex graph allocated %v objects per run, want O(1)", allocs)
 	}
 }
 

@@ -16,12 +16,12 @@ func (g *Graph) MST() ([]Edge, float64) {
 	}
 	var edges []Edge
 	total := 0.0
+	h := newHeap(g.n) // every root drains it, so one heap serves them all
 	for root := 0; root < g.n; root++ {
 		if inTree[root] {
 			continue
 		}
 		best[root] = 0
-		h := newHeap(g.n)
 		h.push(root, 0)
 		for h.len() > 0 {
 			u, p := h.pop()

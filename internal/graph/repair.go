@@ -37,44 +37,34 @@ func DefaultRepairBudget(n int) int { return 16 + n/4 }
 
 // repairAddBatch repairs dist across the simultaneous insertion of the
 // added edges: every improvement any new edge enables seeds one shared
-// wavefront, which then relaxes in priority order exactly as Dijkstra
-// would — so the repaired values are the same left-to-right float path
-// sums a fresh run computes. The wavefront walks g's adjacency, so g must
-// contain every edge the edited network relies on beyond the added ones
+// wavefront, which drain then relaxes in priority order exactly as
+// Dijkstra would. The wavefront walks g's adjacency, so g must contain
+// every edge the edited network relies on beyond the added ones
 // (RepairRowBatch: g is the final graph; RepairRowOverlay: the added
 // edges are absent from g but incident to the source, which no
 // relaxation ever improves, so they are only needed as seeds).
 func (g *Graph) repairAddBatch(dist []float64, added []Edge, mark func(x int)) {
 	h := wavefrontPool.Get().(*heap)
 	defer wavefrontPool.Put(h)
+	seedAdded(h, dist, added, mark)
+	g.drain(h, dist, nil, mark)
+}
+
+// seedAdded pushes onto h every endpoint whose distance one of the added
+// edges improves, lowering dist and calling mark (nil for none) on it.
+// Edges with +Inf weight improve nothing.
+func seedAdded(h *heap, dist []float64, added []Edge, mark func(x int)) {
 	for _, e := range added {
 		if math.IsInf(e.W, 1) {
 			continue
 		}
-		if nd := addF(dist[e.U], e.W); nd < dist[e.V] {
-			dist[e.V] = nd
-			h.push(e.V, nd)
-			mark(e.V)
-		}
-		if nd := addF(dist[e.V], e.W); nd < dist[e.U] {
-			dist[e.U] = nd
-			h.push(e.U, nd)
-			mark(e.U)
-		}
-	}
-	for h.len() > 0 {
-		x, dx := h.pop()
-		if dx > dist[x] {
-			continue
-		}
-		for _, e := range g.adj[x] {
-			if math.IsInf(e.w, 1) {
-				continue
-			}
-			if nd := dx + e.w; nd < dist[e.to] {
-				dist[e.to] = nd
-				h.push(e.to, nd)
-				mark(e.to)
+		for _, p := range [2][2]int{{e.U, e.V}, {e.V, e.U}} {
+			if nd := addF(dist[p[0]], e.W); nd < dist[p[1]] {
+				dist[p[1]] = nd
+				h.push(p[1], nd)
+				if mark != nil {
+					mark(p[1])
+				}
 			}
 		}
 	}
@@ -150,9 +140,6 @@ func (g *Graph) RepairRowOverlay(dist []float64, src int, removed, added []Edge,
 // repairRow runs the two repair phases: the removals against g with the
 // masked pairs hidden, then one insertion wavefront for the additions.
 func (g *Graph) repairRow(dist []float64, src int, removed, added, masked []Edge, budget int, mark func(x int)) bool {
-	if mark == nil {
-		mark = func(int) {}
-	}
 	if len(removed) > 0 && !g.repairRemoveBatch(dist, src, removed, masked, budget, mark) {
 		return false
 	}
@@ -242,12 +229,14 @@ func (g *Graph) repairRemoveBatch(dist []float64, src int, removed, masked []Edg
 	}
 
 	// Phase 2: recompute the affected vertices. Seed each from its best
-	// unaffected neighbor (whose distance is proven unchanged), then run
-	// Dijkstra over the wavefront; relaxations into unaffected vertices
-	// can never win (their value is already the minimum) so no guard is
-	// needed beyond the usual strict comparison.
-	for x := range affected {
-		mark(x)
+	// unaffected neighbor (whose distance is proven unchanged), then drain
+	// the wavefront; relaxations into unaffected vertices can never win
+	// (their value is already the minimum), and every vertex that can
+	// improve is already marked.
+	if mark != nil {
+		for x := range affected {
+			mark(x)
+		}
 	}
 	h := newHeap(len(affected))
 	for x := range affected {
@@ -268,21 +257,7 @@ func (g *Graph) repairRemoveBatch(dist []float64, src int, removed, masked []Edg
 			h.push(x, best)
 		}
 	}
-	for h.len() > 0 {
-		x, dx := h.pop()
-		if dx > dist[x] {
-			continue
-		}
-		for _, e := range g.adj[x] {
-			if math.IsInf(e.w, 1) {
-				continue
-			}
-			if nd := dx + e.w; nd < dist[e.to] && !hides(masked, x, e.to) {
-				dist[e.to] = nd
-				h.push(e.to, nd)
-			}
-		}
-	}
+	g.drain(h, dist, masked, nil)
 	return true
 }
 

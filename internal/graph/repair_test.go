@@ -17,26 +17,43 @@ func randRepairGraph(rng *rand.Rand, n int, flavor string) *Graph {
 			if rng.Float64() >= p {
 				continue
 			}
-			var w float64
-			switch flavor {
-			case "generic":
-				w = rng.Float64() * 10
-			case "ties":
-				w = float64(rng.Intn(3)) // 0, 1 or 2: heavy tie pressure
-			case "mixed":
-				switch rng.Intn(4) {
-				case 0:
-					w = 0
-				case 1:
-					w = math.Inf(1)
-				default:
-					w = float64(1+rng.Intn(4)) / 2
-				}
-			}
-			g.AddEdge(u, v, w)
+			g.AddEdge(u, v, randRepairWeight(rng, flavor))
 		}
 	}
 	return g
+}
+
+// randRepairWeight draws one edge weight of the named flavor. "ulp"
+// nudges a weight from {1, 2, 3} by up to three ulps either way, so
+// direct edges and two-hop paths (1+2 against 3) tie to within float
+// rounding.
+func randRepairWeight(rng *rand.Rand, flavor string) float64 {
+	switch flavor {
+	case "generic":
+		return rng.Float64() * 10
+	case "ties":
+		return float64(rng.Intn(3)) // 0, 1 or 2: heavy tie pressure
+	case "mixed":
+		switch rng.Intn(4) {
+		case 0:
+			return 0
+		case 1:
+			return math.Inf(1)
+		default:
+			return float64(1+rng.Intn(4)) / 2
+		}
+	case "ulp":
+		w, dir := float64(1+rng.Intn(3)), math.Inf(1)
+		k := rng.Intn(7) - 3
+		if k < 0 {
+			dir, k = math.Inf(-1), -k
+		}
+		for ; k > 0; k-- {
+			w = math.Nextafter(w, dir)
+		}
+		return w
+	}
+	panic("unknown repair flavor " + flavor)
 }
 
 func rowsEqualBitwise(t *testing.T, got, want []float64, ctx string) {

@@ -10,102 +10,57 @@ import (
 // Unreachable vertices get +Inf. Weights must be non-negative, which the
 // graph construction already enforces; +Inf edge weights are skipped.
 func (g *Graph) Dijkstra(src int) []float64 {
-	g.checkVertex(src)
 	dist := make([]float64, g.n)
-	g.dijkstraInto(dist, src, nil, nil)
+	g.DijkstraOverlay(dist, src, nil, nil)
 	return dist
 }
 
 // DijkstraOverlay writes into dist (length N) the shortest-path distances
 // from src in the overlay network g − removed + added, leaving g
 // unmodified. As with RepairRowOverlay, every edited edge must be
-// incident to src: the removed edges are masked out of src's own
-// relaxations and the added ones relaxed alongside them, which is all an
-// edit at the source can change. It panics on an edit not incident to
-// src.
+// incident to src: the removed edges are masked out and the added ones
+// seed the heap alongside src, which is all an edit at the source can
+// change. It panics on an edit not incident to src.
 func (g *Graph) DijkstraOverlay(dist []float64, src int, removed, added []Edge) {
 	g.checkVertex(src)
 	checkIncident(src, removed)
 	checkIncident(src, added)
-	g.dijkstraInto(dist, src, removed, added)
-}
-
-// dijkstraInto runs Dijkstra from src into dist over g with the
-// source-incident edits of DijkstraOverlay (nil for the plain graph).
-// Relaxations into src never improve its distance of 0, so the edits
-// matter only while src itself is settled.
-func (g *Graph) dijkstraInto(dist []float64, src int, removed, added []Edge) {
 	for i := range dist {
 		dist[i] = math.Inf(1)
 	}
 	dist[src] = 0
 	h := newHeap(g.n)
 	h.push(src, 0)
+	seedAdded(h, dist, added, nil)
+	g.drain(h, dist, removed, nil)
+}
+
+// drain is the one shortest-path relaxation loop: it settles the seeded
+// heap h in priority order over g minus the masked pairs, lowering dist
+// and calling mark (nil for none) on every entry it improves. Each
+// settled value is the minimum over the same left-to-right float path
+// sums whatever the seeds and their order, because float addition is
+// monotone — which is why a repaired row is bit-identical to a fresh one.
+// Masks are consulted only on improving edges.
+func (g *Graph) drain(h *heap, dist []float64, masked []Edge, mark func(x int)) {
 	for h.len() > 0 {
-		u, du := h.pop()
-		if du > dist[u] {
+		x, dx := h.pop()
+		if dx > dist[x] {
 			continue
 		}
-		for _, e := range g.adj[u] {
+		for _, e := range g.adj[x] {
 			if math.IsInf(e.w, 1) {
 				continue
 			}
-			if nd := du + e.w; nd < dist[e.to] && (u != src || !hides(removed, u, e.to)) {
+			if nd := dx + e.w; nd < dist[e.to] && !hides(masked, x, e.to) {
 				dist[e.to] = nd
 				h.push(e.to, nd)
-			}
-		}
-		if u != src {
-			continue
-		}
-		for _, e := range added {
-			v := e.V
-			if v == src {
-				v = e.U
-			}
-			if !math.IsInf(e.W, 1) && e.W < dist[v] {
-				dist[v] = e.W
-				h.push(v, e.W)
+				if mark != nil {
+					mark(e.to)
+				}
 			}
 		}
 	}
-}
-
-// DijkstraAvoiding returns shortest-path distances from src in the graph
-// with vertex `avoid` (and all its incident edges) removed. It is the
-// primitive behind the best-response solver's G∖u distances. If src ==
-// avoid the result is all +Inf except dist[src] = 0 has no meaning, so the
-// call panics.
-func (g *Graph) DijkstraAvoiding(src, avoid int) []float64 {
-	g.checkVertex(src)
-	g.checkVertex(avoid)
-	if src == avoid {
-		panic("graph: DijkstraAvoiding with src == avoid")
-	}
-	dist := make([]float64, g.n)
-	for i := range dist {
-		dist[i] = math.Inf(1)
-	}
-	dist[src] = 0
-	h := newHeap(g.n)
-	h.push(src, 0)
-	for h.len() > 0 {
-		u, du := h.pop()
-		if du > dist[u] {
-			continue
-		}
-		for _, e := range g.adj[u] {
-			if e.to == avoid || math.IsInf(e.w, 1) {
-				continue
-			}
-			if nd := du + e.w; nd < dist[e.to] {
-				dist[e.to] = nd
-				h.push(e.to, nd)
-			}
-		}
-	}
-	dist[avoid] = math.Inf(1)
-	return dist
 }
 
 // APSP returns the all-pairs shortest-path matrix, computed with one
@@ -115,19 +70,18 @@ func (g *Graph) APSP() [][]float64 {
 }
 
 // APSPAvoiding returns all-pairs shortest paths in the graph with vertex
-// `avoid` removed. Row and column `avoid` are +Inf (diagonal included).
+// `avoid` (and all its incident edges) removed — the best-response
+// solver's G∖u distances. Row and column `avoid` are +Inf (diagonal
+// included).
 func (g *Graph) APSPAvoiding(avoid int) [][]float64 {
-	inf := math.Inf(1)
-	return parallel.Map(g.n, func(src int) []float64 {
-		if src == avoid {
-			row := make([]float64, g.n)
-			for i := range row {
-				row[i] = inf
-			}
-			return row
-		}
-		return g.DijkstraAvoiding(src, avoid)
-	})
+	g.checkVertex(avoid)
+	pruned := g.Clone()
+	for _, e := range g.adj[avoid] {
+		pruned.RemoveEdge(avoid, e.to)
+	}
+	m := pruned.APSP()
+	m[avoid][avoid] = math.Inf(1)
+	return m
 }
 
 // FloydWarshall computes all-pairs shortest paths with the cubic dynamic
@@ -214,48 +168,6 @@ func (g *Graph) Diameter() float64 {
 		}
 	}
 	return maxd
-}
-
-// Eccentricity returns max_v d(u,v).
-func (g *Graph) Eccentricity(u int) float64 {
-	dist := g.Dijkstra(u)
-	maxd := 0.0
-	for v, d := range dist {
-		if v != u && d > maxd {
-			maxd = d
-		}
-	}
-	return maxd
-}
-
-// HasCycle reports whether the graph contains a cycle (ignoring weights).
-func (g *Graph) HasCycle() bool {
-	parent := make([]int, g.n)
-	seen := make([]bool, g.n)
-	for i := range parent {
-		parent[i] = -1
-	}
-	for start := 0; start < g.n; start++ {
-		if seen[start] {
-			continue
-		}
-		stack := []int{start}
-		seen[start] = true
-		for len(stack) > 0 {
-			u := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for _, e := range g.adj[u] {
-				if !seen[e.to] {
-					seen[e.to] = true
-					parent[e.to] = u
-					stack = append(stack, e.to)
-				} else if parent[u] != e.to {
-					return true
-				}
-			}
-		}
-	}
-	return false
 }
 
 // IsTree reports whether the graph is connected and acyclic.
