@@ -35,6 +35,17 @@ func reportVerified(b *testing.B, ok bool) {
 	b.ReportMetric(v, "verified")
 }
 
+// sweepRow runs one size of a lower-bound family on one verification
+// worker, as the experiments harness does.
+func sweepRow(b *testing.B, family string, alpha float64, size int) poa.Row {
+	b.Helper()
+	rows, err := poa.SweepFamily(family, alpha, []int{size}, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return rows[0]
+}
+
 // BenchmarkTable1Summary regenerates the headline measured numbers of the
 // results matrix: the tight (α+2)/2 family at a large size.
 func BenchmarkTable1Summary(b *testing.B) {
@@ -95,8 +106,7 @@ func BenchmarkFig2VertexCoverReduction(b *testing.B) {
 func BenchmarkFig3OneTwoLowerBound(b *testing.B) {
 	var r poa.Row
 	for i := 0; i < b.N; i++ {
-		rows := poa.SweepThm8AlphaOne([]int{6})
-		r = rows[0]
+		r = sweepRow(b, "thm8a1", 1, 6)
 	}
 	b.ReportMetric(r.Ratio, "poa")
 	reportVerified(b, r.Stable)
@@ -229,7 +239,7 @@ func BenchmarkFig5BRCycleTree(b *testing.B) {
 func BenchmarkFig6TreePoALowerBound(b *testing.B) {
 	var r poa.Row
 	for i := 0; i < b.N; i++ {
-		r = poa.SweepThm15(4, []int{40})[0]
+		r = sweepRow(b, "thm15", 4, 40)
 	}
 	b.ReportMetric(r.Ratio, "poa")
 	b.ReportMetric(3, "bound")
@@ -274,7 +284,7 @@ func BenchmarkFig8BRCycleGeometric(b *testing.B) {
 func BenchmarkFig9PathVsStar(b *testing.B) {
 	var r poa.Row
 	for i := 0; i < b.N; i++ {
-		r = poa.SweepLemma8(3, []int{6})[0]
+		r = sweepRow(b, "lemma8", 3, 6)
 	}
 	b.ReportMetric(r.Ratio, "poa")
 	reportVerified(b, r.Stable && r.Ratio > 1)
@@ -301,7 +311,7 @@ func BenchmarkThm18FourPoint(b *testing.B) {
 func BenchmarkFig10CrossPolytope(b *testing.B) {
 	var r poa.Row
 	for i := 0; i < b.N; i++ {
-		r = poa.SweepThm19(4, []int{10})[0]
+		r = sweepRow(b, "thm19", 4, 10)
 	}
 	b.ReportMetric(r.Ratio, "poa")
 	reportVerified(b, r.Stable && math.Abs(r.Ratio-r.Predicted) < 1e-9)
@@ -316,7 +326,7 @@ func BenchmarkThm20NonMetricTriangle(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		sigma = constructions.Thm20PairSigma(lb)
+		sigma = poa.SigmaMax(game.NewState(lb.Game, lb.Equilibrium.Clone()), lb.Optimum).Sigma
 		ok = math.Abs(lb.Ratio()-2.5) < 1e-9 && math.Abs(sigma-6.25) < 1e-9
 	}
 	b.ReportMetric(sigma, "sigma")

@@ -7,8 +7,7 @@ import (
 	"gncg/internal/game"
 	"gncg/internal/gen"
 	"gncg/internal/graph"
-	"gncg/internal/metric"
-	"gncg/internal/parallel"
+	"gncg/internal/opt"
 	"gncg/internal/report"
 	"gncg/internal/sweep"
 )
@@ -24,11 +23,17 @@ import (
 // a dedicated step outside the sharded determinism drill — so its tags
 // deliberately match none of the nightly's other -run selections.
 //
-// The certified OPT lower bound α·MST(H) + Σ_{u≠v} d_H(u,v) is computed
-// by host-specific O(n²)-or-better routines below instead of
-// opt.LowerBound, whose generic Prim pass over Host.Weight (an interface
-// call, O(log n) LCA on tree hosts) prices a 10⁵-vertex cell in tens of
-// minutes on its own.
+// The certified OPT lower bound α·MST(H) + Σ_{u≠v} d_H(u,v) comes from
+// opt.LowerBound on ℓ2 hosts: a matrix-free Prim pass and a parallel
+// pair sum, O(n²) weight evaluations in O(n) memory. Tree hosts keep the
+// O(n) closed forms below, for two reasons. The generic path pays an
+// O(log n) LCA query per weight, which prices a 10⁵-vertex cell in tens
+// of minutes on its own. And the closed forms fold their floats in a
+// different order — tree edges in order, one cnt·(n−cnt) product per
+// edge — than the generic pair sum, so the two agree only to rounding:
+// the golden quick sweep pins the generic bound on tree hosts (the
+// equilibrium ladder's tree cells, seqs 94/95) and the closed forms
+// (this ladder's tree cell, seq 99), each to the last bit.
 
 // xlSampleFull / xlSampleHuge size the deterministic exact-oracle spot
 // check of the reached state: 48 agents (matching the equilibrium
@@ -55,9 +60,9 @@ func registerEquilibriumXL() {
 			"exact_sample_ne re-checks a deterministic sample of non-center agents " +
 			"against the unpruned exact oracle — the star center, owning n-1 edges, " +
 			"would cost a Θ(n²) exact swap scan and is covered by the certified tier. " +
-			"opt_lb uses host-specific O(n²) closed forms (tree closures: the defining " +
-			"tree is an MST of its own closure, and per-edge cut counting folds the " +
-			"distance sum in O(n)).",
+			"opt_lb is opt.LowerBound's matrix-free O(n²) bound on l2 hosts and O(n) " +
+			"closed forms on tree hosts (the defining tree is an MST of its own " +
+			"closure, and per-edge cut counting folds the distance sum).",
 		Tags: []string{"xl"},
 		Space: func(quick bool) sweep.Space {
 			ns := sweep.Ints("n", 25000, 50000, 100000)
@@ -76,25 +81,22 @@ func registerEquilibriumXL() {
 			n := p.Int("n")
 			class := p.Str("host")
 			var (
-				h             *game.Host
-				alpha         float64
-				mstW, distSum float64
+				g  *game.Game
+				lb float64
 			)
 			switch class {
 			case "l2":
-				ps := gen.Points(13, n, 2, 1000, 2)
-				h, alpha = game.NewHost(ps), 16*float64(n)
-				mstW, distSum = l2MSTWeight(ps.Coords), l2DistanceSum(ps.Coords)
+				g = game.New(game.NewHost(gen.Points(13, n, 2, 1000, 2)), 16*float64(n))
+				lb = opt.LowerBound(g)
 			case "tree":
 				tm := gen.Tree(13, n, 1, 6)
-				h, alpha = game.NewHost(tm), float64(n)
+				g = game.New(game.NewHost(tm), float64(n))
 				edges := tm.Edges()
-				mstW, distSum = edgeWeightSum(edges), treeClosureDistanceSum(n, edges)
+				lb = g.Rules().SpanningEdgeCostLB(g.Alpha, edgeWeightSum(edges), n) +
+					treeClosureDistanceSum(n, edges)
 			default:
 				panic(fmt.Sprintf("unknown equilibrium_xl host class %q", class))
 			}
-			g := game.New(h, alpha)
-			lb := g.Rules().SpanningEdgeCostLB(alpha, mstW, n) + distSum
 			s := game.NewState(g, game.StarProfile(n, 0))
 			budget := dynamics.Budget{MaxRounds: 32, MaxMoves: 20 * n}
 			res := dynamics.RunToConvergence(s, dynamics.GreedyMover, dynamics.RoundRobin{}, budget)
@@ -128,7 +130,7 @@ func registerEquilibriumXL() {
 				}
 				sampled = fmt.Sprintf("%s (%d sampled)", report.Check(ok), k)
 			}
-			kv := []any{"host", class, "n", n, "alpha", alpha,
+			kv := []any{"host", class, "n", n, "alpha", g.Alpha,
 				"outcome", res.Outcome.String(),
 				"rounds", res.Rounds, "moves", res.Moves,
 				"social_cost", res.SocialCost, "opt_lb", lb,
@@ -156,61 +158,6 @@ func registerEquilibriumXL() {
 			return []sweep.Record{sweep.R(kv...)}
 		},
 	})
-}
-
-// l2MSTWeight is opt.metricMSTWeight specialized to raw ℓ2 coordinates:
-// Prim with an O(n) frontier array, O(n²) distance evaluations with no
-// interface dispatch. Deterministic — minimum-key vertex by lowest index
-// on ties, weights folded in insertion order.
-func l2MSTWeight(coords [][]float64) float64 {
-	n := len(coords)
-	if n <= 1 {
-		return 0
-	}
-	inTree := make([]bool, n)
-	key := make([]float64, n)
-	for v := 1; v < n; v++ {
-		key[v] = metric.PNormDist(coords[0], coords[v], 2)
-	}
-	inTree[0] = true
-	total := 0.0
-	for round := 1; round < n; round++ {
-		best := -1
-		for v := 0; v < n; v++ {
-			if !inTree[v] && (best < 0 || key[v] < key[best]) {
-				best = v
-			}
-		}
-		inTree[best] = true
-		total += key[best]
-		cb := coords[best]
-		for v := 0; v < n; v++ {
-			if !inTree[v] {
-				if w := metric.PNormDist(cb, coords[v], 2); w < key[v] {
-					key[v] = w
-				}
-			}
-		}
-	}
-	return total
-}
-
-// l2DistanceSum returns Σ_{u≠v} ||c_u − c_v||₂ over ordered pairs,
-// parallel over rows with a deterministic fold.
-func l2DistanceSum(coords [][]float64) float64 {
-	n := len(coords)
-	return parallel.Reduce(n, 0.0,
-		func(u int) float64 {
-			row := 0.0
-			cu := coords[u]
-			for v := 0; v < n; v++ {
-				if v != u {
-					row += metric.PNormDist(cu, coords[v], 2)
-				}
-			}
-			return row
-		},
-		func(a, b float64) float64 { return a + b })
 }
 
 // edgeWeightSum returns Σ_e w_e — for a tree metric this IS the MST

@@ -306,12 +306,12 @@ func registerFig3() {
 		Schema: []string{"nodes", "ratio", "limit", "tier", "stable"},
 		Run: func(p sweep.Params) []sweep.Record {
 			if p.Float("alpha") == 1 {
-				r := poa.SweepThm8AlphaOne([]int{p.Int("n")})[0]
+				r := sweepOne("thm8a1", 1, p.Int("n"))
 				return []sweep.Record{sweep.R("nodes", r.Size*r.Size+r.Size+1,
 					"ratio", r.Ratio, "limit", 1.5,
 					"tier", r.Tier.String(), "stable", report.Check(r.Stable))}
 			}
-			r := poa.SweepThm8HalfToOne(p.Float("alpha"), []int{p.Int("n")})[0]
+			r := sweepOne("thm8half", p.Float("alpha"), p.Int("n"))
 			return []sweep.Record{sweep.R("nodes", r.Size*r.Size+r.Size+1,
 				"ratio", r.Ratio, "limit", 3/(p.Float("alpha")+2),
 				"tier", r.Tier.String(), "stable", report.Check(r.Stable))}
@@ -513,7 +513,7 @@ func registerFig6() {
 		},
 		Schema: []string{"ratio", "predicted", "limit", "tier", "stable"},
 		Run: func(p sweep.Params) []sweep.Record {
-			r := poa.SweepThm15(p.Float("alpha"), []int{p.Int("n")})[0]
+			r := sweepOne("thm15", p.Float("alpha"), p.Int("n"))
 			return []sweep.Record{sweep.R("ratio", r.Ratio, "predicted", r.Predicted,
 				"limit", (p.Float("alpha")+2)/2,
 				"tier", r.Tier.String(), "stable", report.Check(r.Stable))}
@@ -575,7 +575,7 @@ func registerFig9() {
 		},
 		Schema: []string{"ratio", "tier", "stable", "gt_one"},
 		Run: func(p sweep.Params) []sweep.Record {
-			r := poa.SweepLemma8(p.Float("alpha"), []int{p.Int("n")})[0]
+			r := sweepOne("lemma8", p.Float("alpha"), p.Int("n"))
 			return []sweep.Record{sweep.R("ratio", r.Ratio, "tier", r.Tier.String(),
 				"stable", report.Check(r.Stable), "gt_one", report.Check(r.Ratio > 1))}
 		},
@@ -619,7 +619,7 @@ func registerFig10() {
 		},
 		Schema: []string{"nodes", "ratio", "predicted", "limit", "tier", "stable"},
 		Run: func(p sweep.Params) []sweep.Record {
-			r := poa.SweepThm19(p.Float("alpha"), []int{p.Int("n")})[0]
+			r := sweepOne("thm19", p.Float("alpha"), p.Int("n"))
 			return []sweep.Record{sweep.R("nodes", 2*r.Size+1, "ratio", r.Ratio,
 				"predicted", r.Predicted, "limit", (p.Float("alpha")+2)/2,
 				"tier", r.Tier.String(), "stable", report.Check(r.Stable))}
@@ -643,7 +643,7 @@ func registerThm20() {
 				panic(err)
 			}
 			return []sweep.Record{sweep.R("ratio", lb.Ratio(), "limit", (p.Float("alpha")+2)/2,
-				"pair_sigma", constructions.Thm20PairSigma(lb),
+				"pair_sigma", poa.SigmaMax(s, lb.Optimum).Sigma,
 				"sigma_bound", math.Pow((p.Float("alpha")+2)/2, 2),
 				"ne_exact", report.Check(bestresponse.IsNash(s)),
 				"opt_exact", report.Check(math.Abs(lb.OptimumCost()-exact.Cost) < 1e-9))}
@@ -869,6 +869,7 @@ func registerTable1() {
 			thm19 := mustLB(constructions.Thm19CrossPolytope(25, 4))
 			thm18 := mustLB(constructions.Thm18FourPoint(1e6))
 			thm20 := mustLB(constructions.Thm20Triangle(4))
+			thm20Sigma := poa.SigmaMax(game.NewState(thm20.Game, thm20.Equilibrium.Clone()), thm20.Optimum).Sigma
 			thm8 := mustLB(constructions.Thm8AlphaOne(12))
 			row := func(model, evidence, gadget, fip, eq string) sweep.Record {
 				return sweep.R("model", model, "poa_evidence", evidence,
@@ -893,7 +894,7 @@ func registerTable1() {
 					"(inherits 1-2)", "no (inherits T-GNCG)", "3(a+1)-NE (Cor. 2 verified)"),
 				row("GNCG",
 					fmt.Sprintf("triangle ratio %.3f = (a+2)/2 at alpha=4; sigma %.3f",
-						thm20.Ratio(), constructions.Thm20PairSigma(thm20)),
+						thm20.Ratio(), thm20Sigma),
 					"(inherits 1-2)", "no (inherits)", "? (open)"),
 			}
 		},
@@ -905,6 +906,16 @@ func mustLB(lb *constructions.LowerBound, err error) *constructions.LowerBound {
 		panic(err)
 	}
 	return lb
+}
+
+// sweepOne runs one size of a lower-bound family, verified on one worker
+// so the row's tier does not depend on the machine.
+func sweepOne(family string, alpha float64, size int) poa.Row {
+	rows, err := poa.SweepFamily(family, alpha, []int{size}, 1)
+	if err != nil {
+		panic(err)
+	}
+	return rows[0]
 }
 
 // registerScale is the lazy-host scale ladder: game states on 10k-point

@@ -213,19 +213,6 @@ func IsNash(s *game.State) bool {
 	return VerifyNashWorkers(s, 0).Nash
 }
 
-// FirstDeviation returns an agent with a strictly improving exact best
-// response, or ok=false if the state is a Nash equilibrium.
-func FirstDeviation(s *game.State) (Result, bool) {
-	n := s.G.N()
-	results := parallel.Map(n, func(u int) Result { return Exact(s, u) })
-	for u, br := range results {
-		if s.G.Improves(br.Cost, s.Cost(u)) {
-			return br, true
-		}
-	}
-	return Result{}, false
-}
-
 // NashApproxFactor returns the smallest β such that the state is a β-NE:
 // the largest ratio of an agent's current cost to its exact best-response
 // cost. Returns 1 for exact equilibria and +Inf if some agent can move

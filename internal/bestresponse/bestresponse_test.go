@@ -156,8 +156,8 @@ func TestIsNashOnKnownEquilibrium(t *testing.T) {
 	if got := NashApproxFactor(s); got != 1 {
 		t.Fatalf("NE has approx factor %v, want 1", got)
 	}
-	if _, ok := FirstDeviation(s); ok {
-		t.Fatal("NE must have no deviation")
+	if dev := VerifyNashWorkers(s, 0).FirstDeviator; dev != -1 {
+		t.Fatalf("NE must have no deviation, got agent %d", dev)
 	}
 }
 
@@ -173,10 +173,11 @@ func TestIsNashDetectsDeviation(t *testing.T) {
 	if IsNash(s) {
 		t.Fatal("unit star at alpha=0.5 must not be a Nash equilibrium")
 	}
-	dev, ok := FirstDeviation(s)
-	if !ok {
+	u := VerifyNashWorkers(s, 0).FirstDeviator
+	if u < 0 {
 		t.Fatal("deviation expected")
 	}
+	dev := Exact(s, u)
 	check := s.Clone()
 	check.SetStrategy(dev.Agent, dev.Strategy)
 	if !(check.Cost(dev.Agent) < s.Cost(dev.Agent)) {

@@ -12,7 +12,7 @@
 // up soundly across a set (one acquired edge changes the distances the
 // next edge's bound was computed from). Every agent therefore pays for
 // a real best-response computation at this tier — which is why it is
-// reserved for small n (poa.VerifyLowerBound's exactNashLimit).
+// reserved for small n (poa.VerifyLowerBoundWorkers's exactNashLimit).
 //
 // The tier is additionally model-gated: its best responses come from
 // the UMFL reduction, which prices each acquired edge independently.

@@ -28,19 +28,6 @@ func New(n int) Set {
 	return Set{n: n, words: make([]uint64, (n+wordBits-1)/wordBits)}
 }
 
-// FromSlice returns a set over {0,...,n-1} containing exactly the listed
-// elements.
-func FromSlice(n int, elems []int) Set {
-	s := New(n)
-	for _, e := range elems {
-		s.Add(e)
-	}
-	return s
-}
-
-// Universe returns the size n of the universe the set ranges over.
-func (s Set) Universe() int { return s.n }
-
 // Add inserts element e. It panics if e is outside the universe.
 func (s Set) Add(e int) {
 	s.check(e)
@@ -157,29 +144,6 @@ func (s Set) Union(t Set) {
 	for i := range s.words {
 		s.words[i] |= t.words[i]
 	}
-}
-
-// Subtract removes every element of t from s. The universes must match.
-func (s Set) Subtract(t Set) {
-	if s.n != t.n {
-		panic("bitset: universe mismatch")
-	}
-	for i := range s.words {
-		s.words[i] &^= t.words[i]
-	}
-}
-
-// Intersects reports whether s and t share at least one element.
-func (s Set) Intersects(t Set) bool {
-	if s.n != t.n {
-		panic("bitset: universe mismatch")
-	}
-	for i := range s.words {
-		if s.words[i]&t.words[i] != 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // Hash folds the set contents into a 64-bit FNV-1a value, for use in

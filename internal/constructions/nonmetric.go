@@ -44,27 +44,3 @@ func Thm20Triangle(alpha float64) (*LowerBound, error) {
 		Predicted: (alpha + 2) / 2,
 	}, nil
 }
-
-// Thm20PairSigma computes the per-pair contribution ratio σ of Thm 20 for
-// the heavy pair (a,c) of the triangle witness:
-//
-//	σ = (α·w·x + 2 d_NE) / (α·w·x* + 2 d_OPT),
-//
-// where x/x* indicate whether the NE/OPT contains the edge (a,c). For the
-// witness this is exactly ((α+2)/2)².
-func Thm20PairSigma(lb *LowerBound) float64 {
-	g := lb.Game
-	neState := game.NewState(g, lb.Equilibrium.Clone())
-	optNet := graph.FromEdges(3, lb.Optimum)
-	w := g.Host.Weight(0, 2)
-	x, xStar := 0.0, 0.0
-	if lb.Equilibrium.HasEdge(0, 2) {
-		x = 1
-	}
-	if optNet.HasEdge(0, 2) {
-		xStar = 1
-	}
-	dNE := neState.Network().Dijkstra(0)[2]
-	dOPT := optNet.Dijkstra(0)[2]
-	return (g.Alpha*w*x + 2*dNE) / (g.Alpha*w*xStar + 2*dOPT)
-}

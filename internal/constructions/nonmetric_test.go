@@ -50,19 +50,6 @@ func TestThm20RatioAndOptimum(t *testing.T) {
 	}
 }
 
-func TestThm20PairSigma(t *testing.T) {
-	for _, alpha := range []float64{0.5, 1, 4} {
-		lb, err := Thm20Triangle(alpha)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := math.Pow((alpha+2)/2, 2)
-		if got := Thm20PairSigma(lb); math.Abs(got-want) > 1e-9 {
-			t.Fatalf("alpha %v: pair sigma %v != ((α+2)/2)² = %v", alpha, got, want)
-		}
-	}
-}
-
 func TestFig8GameShape(t *testing.T) {
 	g := Fig8Game(1)
 	if g.N() != 10 {

@@ -47,10 +47,6 @@ func Thm15Star(n int, alpha float64) (*LowerBound, error) {
 	}, nil
 }
 
-// Thm15AsymptoticRatio is the limiting PoA lower bound of the family:
-// (α+2)/2, the paper's tight bound for the T–GNCG and M–GNCG.
-func Thm15AsymptoticRatio(alpha float64) float64 { return (alpha + 2) / 2 }
-
 // Thm19CrossPolytope builds the Rd–GNCG (1-norm) lower bound of Thm 19
 // (Fig. 10): 2d+1 points v0 = origin (node 0), v1 = e_1 (node 1), and the
 // 2d-1 points -(2/α)e_1, ±(2/α)e_i for i >= 2 (nodes 2..2d). Under the

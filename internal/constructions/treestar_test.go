@@ -52,7 +52,7 @@ func TestThm15RatioMatchesClosedForm(t *testing.T) {
 
 func TestThm15RatioApproachesAsymptote(t *testing.T) {
 	alpha := 3.0
-	limit := Thm15AsymptoticRatio(alpha)
+	limit := (alpha + 2) / 2
 	small, _ := Thm15Star(5, alpha)
 	large, _ := Thm15Star(200, alpha)
 	dSmall := math.Abs(small.Ratio() - limit)
@@ -111,7 +111,7 @@ func TestThm19RatioMatchesClosedForm(t *testing.T) {
 func TestThm19ApproachesTreeBound(t *testing.T) {
 	// As d -> inf the cross-polytope bound approaches (α+2)/2.
 	alpha := 4.0
-	limit := Thm15AsymptoticRatio(alpha)
+	limit := (alpha + 2) / 2
 	lo, _ := Thm19CrossPolytope(2, alpha)
 	hi, _ := Thm19CrossPolytope(60, alpha)
 	if !(math.Abs(hi.Predicted-limit) < math.Abs(lo.Predicted-limit)) {

@@ -175,7 +175,7 @@ func Open(dir string, spec JobSpec, resume bool) (*Store, error) {
 			return nil, err
 		}
 	}
-	// Compact: fold snapshot + journal into a fresh snapshot and a
+	// Compaction: fold snapshot + journal into a fresh snapshot and a
 	// header-only journal. On a fresh job this just writes the header.
 	if err := s.compact(); err != nil {
 		s.release()
@@ -357,10 +357,6 @@ func (s *Store) compact() error {
 	s.journal = f
 	return nil
 }
-
-// Compact folds the journal into the snapshot. Open does this
-// automatically on resume; long-lived services may call it periodically.
-func (s *Store) Compact() error { return s.compact() }
 
 // Append journals finished cells (one fsynced write batch). Cells
 // already done are skipped silently — late reports from a worker whose

@@ -26,7 +26,7 @@ func testExps() []sweep.Experiment {
 				return sweep.Space{Axes: []sweep.Axis{
 					sweep.Ints("n", n...),
 					sweep.Strings("mode", "a", "b"),
-					sweep.SeedAxis(2),
+					sweep.Int64s("seed", sweep.Seq(2)...),
 				}}
 			},
 			Schema: []string{"v"},

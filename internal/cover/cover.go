@@ -92,44 +92,6 @@ func MinVertexCover(ins *VCInstance) []int {
 	return out
 }
 
-// GreedyVertexCover returns a (not necessarily minimum) cover by
-// repeatedly taking the endpoint of highest uncovered degree.
-func GreedyVertexCover(ins *VCInstance) []int {
-	in := make([]bool, ins.N)
-	covered := make([]bool, len(ins.Edges))
-	var out []int
-	for {
-		deg := make([]int, ins.N)
-		remaining := 0
-		for i, e := range ins.Edges {
-			if covered[i] {
-				continue
-			}
-			remaining++
-			deg[e[0]]++
-			deg[e[1]]++
-		}
-		if remaining == 0 {
-			break
-		}
-		bestV, bestDeg := -1, 0
-		for v, d := range deg {
-			if d > bestDeg {
-				bestV, bestDeg = v, d
-			}
-		}
-		in[bestV] = true
-		out = append(out, bestV)
-		for i, e := range ins.Edges {
-			if !covered[i] && (e[0] == bestV || e[1] == bestV) {
-				covered[i] = true
-			}
-		}
-	}
-	sort.Ints(out)
-	return out
-}
-
 // SCInstance is a set-cover instance: a universe {0,...,K-1} and a
 // collection of subsets. Every element must appear in at least one set
 // for a cover to exist.

@@ -93,25 +93,6 @@ func TestMinVertexCoverMatchesBruteForce(t *testing.T) {
 	}
 }
 
-func TestGreedyVertexCoverIsCover(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 20; trial++ {
-		n := 3 + rng.Intn(10)
-		var edges [][2]int
-		for u := 0; u < n; u++ {
-			for v := u + 1; v < n; v++ {
-				if rng.Float64() < 0.4 {
-					edges = append(edges, [2]int{u, v})
-				}
-			}
-		}
-		ins, _ := NewVCInstance(n, edges)
-		if !ins.IsVertexCover(GreedyVertexCover(ins)) {
-			t.Fatal("greedy result is not a cover")
-		}
-	}
-}
-
 func TestSCValidation(t *testing.T) {
 	if _, err := NewSCInstance(3, [][]int{{0, 1}}); err == nil {
 		t.Error("uncoverable universe accepted")

@@ -184,7 +184,11 @@ func TestRunStaleBestResponseAfterConcurrentMove(t *testing.T) {
 		replay := game.NewState(g, game.StarProfile(8, int(seed)%8))
 		for i, tr := range res.History {
 			before := replay.Cost(tr.Agent)
-			replay.SetStrategy(tr.Agent, bitset.FromSlice(8, tr.Strategy))
+			strat := bitset.New(8)
+			for _, v := range tr.Strategy {
+				strat.Add(v)
+			}
+			replay.SetStrategy(tr.Agent, strat)
 			if after := replay.Cost(tr.Agent); !g.Improves(after, before) {
 				t.Fatalf("seed %d: history move %d did not improve its mover (%v -> %v)",
 					seed, i, before, after)

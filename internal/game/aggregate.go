@@ -39,7 +39,7 @@ const aggBlock = 64
 type rowAgg struct {
 	blocks []float64 // fixed-shape per-block partial sums
 	total  float64   // left-to-right fold of blocks
-	epoch  uint64    // cost epoch (traffic + rules) the terms were computed under
+	epoch  uint64    // cost epoch (SetTraffic count) the terms were computed under
 	valid  bool
 }
 

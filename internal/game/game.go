@@ -149,14 +149,14 @@ type Game struct {
 	Eps   float64
 
 	// traffic holds optional per-pair demand weights (nil = uniform);
-	// see traffic.go. costEpoch counts SetTraffic and SetRules calls so
-	// cached distance-sum aggregates (aggregate.go) detect changes to
-	// the per-pair cost terms and rebuild instead of serving stale sums.
+	// see traffic.go. costEpoch counts SetTraffic calls so cached
+	// distance-sum aggregates (aggregate.go) detect changes to the
+	// per-pair cost terms and rebuild instead of serving stale sums.
 	traffic   [][]float64
 	costEpoch uint64
 
 	// rules is the pluggable cost model (rules.go); nil means the
-	// paper's SumRules. Read through Rules(), set through SetRules.
+	// paper's SumRules. Read through Rules(), set by NewWithRules.
 	rules Rules
 
 	// floorSums lazily caches the per-agent traffic-weighted host floor

@@ -33,6 +33,30 @@ func densified(t *testing.T, h *Host) *Host {
 	return d
 }
 
+// TestHostClassifyMatrixFallback: a matrix-backed host's space carries
+// no metric.Classifier, so Classify and IsMetric fall back to the dense
+// validators over the host's dense view — which is the stored matrix
+// itself (metric.Dense), not a copy.
+func TestHostClassifyMatrixFallback(t *testing.T) {
+	w := [][]float64{{0, 0.5, 10}, {0.5, 0, 1}, {10, 1, 0}}
+	h, err := HostFromMatrix(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := h.Space().(metric.Classifier); ok {
+		t.Fatal("matrix space should not claim structural classification")
+	}
+	if got := h.Classify(1e-9); got != metric.ClassGeneral {
+		t.Errorf("fallback class %v, want %v", got, metric.ClassGeneral)
+	}
+	if h.IsMetric(1e-9) {
+		t.Error("fallback metricity wrong: w(0,2) = 10 > w(0,1) + w(1,2)")
+	}
+	if m := h.Densify(); &m[0][0] != &w[0][0] {
+		t.Error("fallback must classify the stored matrix, not a copy")
+	}
+}
+
 // TestMatrixDensifyAliasing pins the dense-view contract: Densify
 // returns one shared memoized matrix, repeated calls alias it, Weight
 // agrees with it, and matrix-backed hosts reuse (not copy) the

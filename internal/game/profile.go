@@ -162,18 +162,3 @@ func (p Profile) EdgeCount() int {
 	}
 	return c
 }
-
-// DoublyOwned lists edges bought by both endpoints — never beneficial in
-// equilibrium (both owners pay the full price), and useful to flag.
-func (p Profile) DoublyOwned() [][2]int {
-	var out [][2]int
-	n := len(p.S)
-	for u := 0; u < n; u++ {
-		for v := u + 1; v < n; v++ {
-			if p.Buys(u, v) && p.Buys(v, u) {
-				out = append(out, [2]int{u, v})
-			}
-		}
-	}
-	return out
-}

@@ -347,7 +347,9 @@ func TestApplyContract(t *testing.T) {
 // TestMoveNewStrategyDoesNotMutate: NewStrategy must clone, never edit
 // the input set.
 func TestMoveNewStrategyDoesNotMutate(t *testing.T) {
-	cur := bitset.FromSlice(5, []int{1, 2})
+	cur := bitset.New(5)
+	cur.Add(1)
+	cur.Add(2)
 	next := Move{Agent: 0, Kind: Swap, V: 2, X: 3}.NewStrategy(cur)
 	if !cur.Has(2) || cur.Has(3) {
 		t.Error("NewStrategy mutated its input")

@@ -158,17 +158,6 @@ func (g *Game) uniformSum() bool {
 	return sum
 }
 
-// SetRules installs a cost model on the game; nil restores the default
-// SumRules. Like SetTraffic it bumps the cost epoch, so cached
-// distance-sum aggregates computed under the old model's DistTerm
-// rebuild instead of serving stale sums. States bound to the game see
-// the new model on their next cost query; callers swapping models
-// mid-run must not hold results computed under the old one.
-func (g *Game) SetRules(r Rules) {
-	g.rules = r
-	g.costEpoch++
-}
-
 // NewWithRules returns a game on host h with parameter alpha under cost
 // model r (nil means SumRules). The alpha parameter keeps its
 // model-specific meaning: per-unit-weight edge price under sum, flat

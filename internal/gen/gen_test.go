@@ -10,8 +10,8 @@ import (
 func TestPointsDeterministicAndInRange(t *testing.T) {
 	a := Points(7, 20, 3, 10, 2)
 	b := Points(7, 20, 3, 10, 2)
-	if a.Size() != 20 || a.Dim() != 3 {
-		t.Fatalf("shape %d x %d", a.Size(), a.Dim())
+	if a.Size() != 20 || len(a.Coords[0]) != 3 {
+		t.Fatalf("shape %d x %d", a.Size(), len(a.Coords[0]))
 	}
 	for i := range a.Coords {
 		for k := range a.Coords[i] {
@@ -39,8 +39,8 @@ func TestPointsDeterministicAndInRange(t *testing.T) {
 
 func TestClusteredPointsShape(t *testing.T) {
 	ps := ClusteredPoints(3, 30, 4, 100, 2)
-	if ps.Size() != 30 || ps.Dim() != 2 {
-		t.Fatalf("shape %d x %d", ps.Size(), ps.Dim())
+	if ps.Size() != 30 || len(ps.Coords[0]) != 2 {
+		t.Fatalf("shape %d x %d", ps.Size(), len(ps.Coords[0]))
 	}
 	if !metric.IsMetric(metric.Matrix(ps), 1e-9) {
 		t.Fatal("clustered points not metric")

@@ -143,19 +143,6 @@ func (g *Graph) Clone() *Graph {
 	return c
 }
 
-// TotalWeight returns the sum of all edge weights.
-func (g *Graph) TotalWeight() float64 {
-	total := 0.0
-	for u := 0; u < g.n; u++ {
-		for _, h := range g.adj[u] {
-			if u < h.to {
-				total += h.w
-			}
-		}
-	}
-	return total
-}
-
 func (g *Graph) findHalf(u, v int) int {
 	if u < 0 || u >= g.n || v < 0 || v >= g.n {
 		return -1

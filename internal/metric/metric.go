@@ -19,8 +19,8 @@
 //   - Dense: the space already holds a dense matrix, so densification can
 //     reuse it instead of copying (matrix-backed spaces).
 //
-// ClassifySpace and IsMetricSpace consult these capabilities and fall back
-// to the dense validators (Classify, IsMetric) otherwise.
+// game.Host's Classify and IsMetric consult these capabilities and fall
+// back to the dense validators (Classify, IsMetric) otherwise.
 package metric
 
 import (
@@ -73,27 +73,6 @@ type Dense interface {
 	DenseMatrix() [][]float64
 }
 
-// ClassifySpace returns the space's model class, using the Classifier
-// capability in O(1) when present and falling back to materializing the
-// matrix and running the dense validator (O(n²) space, O(n³) time)
-// otherwise.
-func ClassifySpace(s Space, eps float64) Class {
-	if c, ok := s.(Classifier); ok {
-		return c.Class(eps)
-	}
-	return Classify(denseOf(s), eps)
-}
-
-// IsMetricSpace reports whether the space satisfies the triangle
-// inequality, using the Classifier capability in O(1) when present and the
-// dense validator otherwise.
-func IsMetricSpace(s Space, eps float64) bool {
-	if c, ok := s.(Classifier); ok {
-		return c.Metric(eps)
-	}
-	return IsMetric(denseOf(s), eps)
-}
-
 // ForEachFinitePair calls fn for every unordered pair u < v with finite
 // weight, in ascending (u,v) order. Spaces with the FinitePairer
 // capability enumerate only their finite pairs; otherwise every pair is
@@ -111,15 +90,6 @@ func ForEachFinitePair(s Space, fn func(u, v int, w float64)) {
 			}
 		}
 	}
-}
-
-// denseOf returns the space's dense matrix, reusing pre-materialized
-// storage when the space advertises it.
-func denseOf(s Space) [][]float64 {
-	if d, ok := s.(Dense); ok {
-		return d.DenseMatrix()
-	}
-	return Matrix(s)
 }
 
 // Matrix materializes a space as a dense symmetric matrix: O(n²) memory

@@ -194,11 +194,8 @@ func TestOneTwoEdgesAndClassification(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ot.IsOne(0, 1) || ot.IsOne(0, 2) || ot.IsOne(1, 1) {
-		t.Error("IsOne wrong")
-	}
-	if got := len(ot.OneEdges()); got != 2 {
-		t.Errorf("OneEdges count = %d", got)
+	if ot.Dist(0, 1) != 1 || ot.Dist(2, 3) != 1 || ot.Dist(0, 2) != 2 || ot.Dist(1, 1) != 0 {
+		t.Error("1-edge weights wrong")
 	}
 	if Classify(Matrix(ot), 1e-9) != ClassOneTwo {
 		t.Error("1-2 space misclassified")
@@ -289,51 +286,21 @@ func TestStructuralClassifiers(t *testing.T) {
 		if got := IsMetric(m, 1e-9); got != c.isMet {
 			t.Errorf("%s: dense metric %v disagrees with structural %v", c.name, got, c.isMet)
 		}
-		if ClassifySpace(c.s, 1e-9) != c.class || IsMetricSpace(c.s, 1e-9) != c.isMet {
-			t.Errorf("%s: ClassifySpace/IsMetricSpace do not use the capability answer", c.name)
-		}
 	}
 	// Point sets and tree closures answer their guaranteed class.
 	pts, err := NewPoints([][]float64{{0, 0}, {3.1, 0}, {0, 4.2}}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ClassifySpace(pts, 1e-9) != ClassMetric || !IsMetricSpace(pts, 1e-9) {
+	if pts.Class(1e-9) != ClassMetric || !pts.Metric(1e-9) {
 		t.Error("point space must classify structurally as M-GNCG")
 	}
 	tm, err := NewTreeMetric(3, []graph.Edge{{U: 0, V: 1, W: 1.3}, {U: 1, V: 2, W: 2.6}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ClassifySpace(tm, 1e-9) != ClassMetric || !IsMetricSpace(tm, 1e-9) {
+	if tm.Class(1e-9) != ClassMetric || !tm.Metric(1e-9) {
 		t.Error("tree metric must classify structurally as M-GNCG")
-	}
-}
-
-// TestClassifySpaceFallback: matrix-backed spaces carry no Classifier and
-// must fall back to the dense validators, reusing their stored matrix via
-// the Dense capability.
-func TestClassifySpaceFallback(t *testing.T) {
-	w := [][]float64{{0, 0.5, 10}, {0.5, 0, 1}, {10, 1, 0}}
-	s, err := FromMatrix(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := s.(Classifier); ok {
-		t.Fatal("matrix space should not claim structural classification")
-	}
-	if ClassifySpace(s, 1e-9) != ClassGeneral {
-		t.Error("fallback classification wrong")
-	}
-	if IsMetricSpace(s, 1e-9) {
-		t.Error("fallback metricity wrong")
-	}
-	d, ok := s.(Dense)
-	if !ok {
-		t.Fatal("matrix space must advertise its dense matrix")
-	}
-	if m := d.DenseMatrix(); &m[0][0] != &w[0][0] {
-		t.Error("DenseMatrix must reuse the wrapped storage, not copy")
 	}
 }
 

@@ -64,22 +64,6 @@ func (o *OneTwo) Class(eps float64) Class {
 // inequality.
 func (o *OneTwo) Metric(eps float64) bool { return true }
 
-// IsOne reports whether (i,j) is a 1-edge.
-func (o *OneTwo) IsOne(i, j int) bool { return i != j && o.ones[i][j] }
-
-// OneEdges returns the 1-edges with U < V.
-func (o *OneTwo) OneEdges() [][2]int {
-	var out [][2]int
-	for i := 0; i < o.n; i++ {
-		for j := i + 1; j < o.n; j++ {
-			if o.ones[i][j] {
-				out = append(out, [2]int{i, j})
-			}
-		}
-	}
-	return out
-}
-
 // complete reports whether m distinct edges cover all pairs of n points.
 func complete(n, m int) bool { return m == n*(n-1)/2 }
 

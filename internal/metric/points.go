@@ -45,14 +45,6 @@ func NewPoints(coords [][]float64, p float64) (*Points, error) {
 // Size returns the number of points.
 func (ps *Points) Size() int { return len(ps.Coords) }
 
-// Dim returns the dimension of the ambient space (0 for an empty set).
-func (ps *Points) Dim() int {
-	if len(ps.Coords) == 0 {
-		return 0
-	}
-	return len(ps.Coords[0])
-}
-
 // Dist returns the p-norm distance between points i and j.
 func (ps *Points) Dist(i, j int) float64 {
 	return PNormDist(ps.Coords[i], ps.Coords[j], ps.P)

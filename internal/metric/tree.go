@@ -34,13 +34,12 @@ func NewTreeMetric(n int, edges []graph.Edge) (*TreeMetric, error) {
 	if len(edges) != n-1 {
 		return nil, fmt.Errorf("metric: tree on %d vertices needs %d edges, got %d", n, n-1, len(edges))
 	}
-	g := graph.New(n)
 	for _, e := range edges {
 		if e.W < 0 || math.IsInf(e.W, 1) || math.IsNaN(e.W) {
 			return nil, fmt.Errorf("metric: invalid tree edge weight %v", e.W)
 		}
-		g.AddEdge(e.U, e.V, e.W)
 	}
+	g := graph.FromEdges(n, edges)
 	if !g.Connected() {
 		return nil, fmt.Errorf("metric: tree edges do not connect %d vertices", n)
 	}

@@ -103,15 +103,6 @@ func greedyVerifyLimitFor(workers int) int {
 	return int(float64(greedyVerifyLimit) * math.Sqrt(float64(workers)))
 }
 
-// VerifyLowerBound checks a construction's equilibrium candidate at the
-// strongest tier affordable on one verification worker and returns the
-// sweep row. (The single-worker form keeps tier assignment — and hence
-// row encoding — machine-independent; VerifyLowerBoundWorkers raises
-// the greedy tier's reach on multi-core budgets.)
-func VerifyLowerBound(lb *constructions.LowerBound, size int) Row {
-	return VerifyLowerBoundWorkers(lb, size, 1)
-}
-
 // VerifyLowerBoundWorkers checks a construction's equilibrium candidate
 // at the strongest tier affordable with the given verification worker
 // budget (<= 0 means GOMAXPROCS): exact Nash via one exact best
@@ -178,47 +169,27 @@ var familyConstructors = map[string]func(size int, alpha float64) (*construction
 // SweepFamily runs one named lower-bound family ("thm15", "thm19",
 // "thm8a1", "thm8half", "lemma8") across the size ladder with an
 // explicit verification worker budget per cell (<= 0 means GOMAXPROCS;
-// see VerifyLowerBoundWorkers). Cells are constructed in parallel;
-// verdicts and ratios are identical for any budget, only the tier cutoff
-// and wall time move.
+// see VerifyLowerBoundWorkers). Cells are constructed, then verified, in
+// parallel; verdicts and ratios are identical for any budget, only the
+// tier cutoff and wall time move. A size the family rejects fails the
+// sweep before any cell is verified, with the first constructor error in
+// size order.
 func SweepFamily(family string, alpha float64, sizes []int, verifyWorkers int) ([]Row, error) {
 	build, ok := familyConstructors[family]
 	if !ok {
 		return nil, fmt.Errorf("poa: unknown family %q", family)
 	}
+	lbs := make([]*constructions.LowerBound, len(sizes))
+	if err := parallel.FirstErr(len(sizes), func(i int) (err error) {
+		lbs[i], err = build(sizes[i], alpha)
+		return err
+	}); err != nil {
+		return nil, err
+	}
 	return parallel.Map(len(sizes), func(i int) Row {
-		lb, err := build(sizes[i], alpha)
-		if err != nil {
-			panic(err)
-		}
-		return VerifyLowerBoundWorkers(lb, sizes[i], verifyWorkers)
+		return VerifyLowerBoundWorkers(lbs[i], sizes[i], verifyWorkers)
 	}), nil
 }
-
-func mustSweep(family string, alpha float64, sizes []int) []Row {
-	rows, err := SweepFamily(family, alpha, sizes, 1)
-	if err != nil {
-		panic(err)
-	}
-	return rows
-}
-
-// SweepThm15 regenerates the Fig. 6 series: the T–GNCG star family across
-// sizes for a fixed α, verified on one worker.
-func SweepThm15(alpha float64, sizes []int) []Row { return mustSweep("thm15", alpha, sizes) }
-
-// SweepThm19 regenerates the Fig. 10 series: the ℓ1 cross-polytope family
-// across dimensions for a fixed α, verified on one worker.
-func SweepThm19(alpha float64, dims []int) []Row { return mustSweep("thm19", alpha, dims) }
-
-// SweepThm8AlphaOne regenerates the Fig. 3 series for α = 1 across N.
-func SweepThm8AlphaOne(sizes []int) []Row { return mustSweep("thm8a1", 1, sizes) }
-
-// SweepThm8HalfToOne regenerates the Fig. 3 series for 1/2 <= α < 1.
-func SweepThm8HalfToOne(alpha float64, sizes []int) []Row { return mustSweep("thm8half", alpha, sizes) }
-
-// SweepLemma8 regenerates the Fig. 9 series across point counts.
-func SweepLemma8(alpha float64, sizes []int) []Row { return mustSweep("lemma8", alpha, sizes) }
 
 // Empirical is the result of estimating the PoA on one random instance:
 // the worst equilibrium found by dynamics from several starts, against
@@ -301,13 +272,4 @@ func randomProfile(seed int64, n int, p float64) game.Profile {
 		}
 	}
 	return prof
-}
-
-// RespectsBound reports whether an empirical measurement stays within the
-// paper's upper bound, with slack for float noise.
-func (e Empirical) RespectsBound() bool {
-	if e.Found == 0 {
-		return true // nothing measured, nothing violated
-	}
-	return e.WorstRatio <= e.UpperBound+1e-6 || math.IsInf(e.UpperBound, 1)
 }

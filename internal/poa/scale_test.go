@@ -35,7 +35,7 @@ func TestLowerBoundFamilyLazyAtScale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	row := VerifyLowerBound(lb, 2500)
+	row := VerifyLowerBoundWorkers(lb, 2500, 1)
 	if row.Tier != TierNone {
 		t.Fatalf("n=2500 row verified at tier %v; want TierNone beyond greedyVerifyLimit", row.Tier)
 	}

@@ -37,10 +37,11 @@ func TestSigmaBoundOnMetricNE(t *testing.T) {
 }
 
 // TestSigmaTriangleMatchesThm20: the non-metric triangle's σ is exactly
-// ((α+2)/2)², exceeding the metric bound — reproducing why Thm 20's
-// technique cannot give a better upper bound than ((α+2)/2)².
+// ((α+2)/2)², attained at the heavy pair (a,c), exceeding the metric
+// bound — reproducing why Thm 20's technique cannot give a better upper
+// bound than ((α+2)/2)².
 func TestSigmaTriangleMatchesThm20(t *testing.T) {
-	for _, alpha := range []float64{1, 3, 8} {
+	for _, alpha := range []float64{0.5, 1, 3, 4, 8} {
 		lb, err := constructions.Thm20Triangle(alpha)
 		if err != nil {
 			t.Fatal(err)
@@ -48,8 +49,8 @@ func TestSigmaTriangleMatchesThm20(t *testing.T) {
 		s := game.NewState(lb.Game, lb.Equilibrium.Clone())
 		worst := SigmaMax(s, lb.Optimum)
 		want := math.Pow((alpha+2)/2, 2)
-		if math.Abs(worst.Sigma-want) > 1e-9 {
-			t.Fatalf("alpha %v: sigma %v, want %v", alpha, worst.Sigma, want)
+		if math.Abs(worst.Sigma-want) > 1e-9 || worst.U != 0 || worst.V != 2 {
+			t.Fatalf("alpha %v: sigma %v at pair (%d,%d), want %v at (0,2)", alpha, worst.Sigma, worst.U, worst.V, want)
 		}
 		if worst.Sigma <= (alpha+2)/2 {
 			t.Fatalf("alpha %v: non-metric sigma should exceed the metric bound", alpha)

@@ -162,68 +162,6 @@ func MinWeight32SpannerOneTwo(h *game.Host) ([]graph.Edge, error) {
 	return out.Edges(), nil
 }
 
-// Greedy32SpannerOneTwo computes a (not necessarily minimum) 3/2-spanner
-// of a 1-2 host: all 1-edges plus greedily chosen 2-edges, each picked to
-// satisfy the largest number of still-violated 2-edge demands. It scales
-// to hosts far beyond the exact search; the exact solver remains the
-// reference for small instances.
-func Greedy32SpannerOneTwo(h *game.Host) ([]graph.Edge, error) {
-	n := h.N()
-	base := graph.New(n)
-	var twos [][2]int
-	for u := 0; u < n; u++ {
-		for v := u + 1; v < n; v++ {
-			switch h.Weight(u, v) {
-			case 1:
-				base.AddEdge(u, v, 1)
-			case 2:
-				twos = append(twos, [2]int{u, v})
-			default:
-				return nil, fmt.Errorf("spanner: not a 1-2 host: w(%d,%d)=%v", u, v, h.Weight(u, v))
-			}
-		}
-	}
-	violated := func(g *graph.Graph) [][2]int {
-		d := g.APSP()
-		var out [][2]int
-		for _, p := range twos {
-			if d[p[0]][p[1]] > 3 {
-				out = append(out, p)
-			}
-		}
-		return out
-	}
-	cur := base.Clone()
-	for {
-		demands := violated(cur)
-		if len(demands) == 0 {
-			return cur.Edges(), nil
-		}
-		// Greedy step: the candidate 2-edge fixing the most demands.
-		bestEdge := [2]int{-1, -1}
-		bestFixed := -1
-		for _, cand := range twos {
-			if cur.HasEdge(cand[0], cand[1]) {
-				continue
-			}
-			trial := cur.Clone()
-			trial.AddEdge(cand[0], cand[1], 2)
-			fixed := len(demands) - len(violated(trial))
-			if fixed > bestFixed {
-				bestFixed = fixed
-				bestEdge = cand
-			}
-		}
-		if bestFixed <= 0 {
-			// Adding the violated demands' own edges always fixes them, so
-			// this is unreachable; guard against infinite loops anyway.
-			cur.AddEdge(demands[0][0], demands[0][1], 2)
-			continue
-		}
-		cur.AddEdge(bestEdge[0], bestEdge[1], 2)
-	}
-}
-
 // FindNEOwnership searches for an edge-ownership assignment of the given
 // edge set under which the resulting profile is a Nash equilibrium, using
 // the supplied exact checker. It enumerates all 2^m orientations, in

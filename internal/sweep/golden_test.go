@@ -24,7 +24,7 @@ func goldenExperiments() []Experiment {
 					Strings("policy", "greedy", "exact"),
 					Floats("norm", 1, math.Inf(1)),
 					Ints("n", 4),
-					SeedAxis(2),
+					Int64s("seed", Seq(2)...),
 				}}
 			},
 			Schema: []string{"score", "tag", "half"},

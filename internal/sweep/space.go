@@ -5,8 +5,8 @@ import "fmt"
 // Axis is one named, typed dimension of a parameter Space: an ordered
 // value list the space crosses with its other axes. Values are
 // homogeneous — build axes with the typed constructors (Floats, Ints,
-// Int64s, Strings, SeedAxis) so every cell's accessor of the matching
-// type succeeds. The zoo of supported value types is exactly what the
+// Int64s, Strings) so every cell's accessor of the matching type
+// succeeds. The zoo of supported value types is exactly what the
 // deterministic encoders render token-exactly: string, float64, int and
 // int64.
 type Axis struct {
@@ -60,10 +60,6 @@ func Seq(n int) []int64 {
 	}
 	return out
 }
-
-// SeedAxis builds the conventional trial axis: int64 seeds 0..n-1 under
-// the name "seed", which Params.Seed and Params.RNG key on.
-func SeedAxis(n int) Axis { return Int64s("seed", Seq(n)...) }
 
 // Space is an open, typed parameter space: the cross product of its axes
 // expands into cells. Axis order is part of the sharding contract — axis

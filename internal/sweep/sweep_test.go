@@ -26,7 +26,7 @@ func toyExperiments() []Experiment {
 					Strings("sched", "rr", "random"),
 					Floats("alpha", 0.5, 1, 2),
 					Ints("n", 4, 8),
-					SeedAxis(trials),
+					Int64s("seed", Seq(trials)...),
 				}}
 			},
 			Schema: []string{"value", "host", "inf_guard"},
@@ -41,7 +41,7 @@ func toyExperiments() []Experiment {
 		},
 		{
 			Name: "toy-trials", Title: "toy seed ladder", Tags: []string{"toy"},
-			Space: func(quick bool) Space { return Space{Axes: []Axis{SeedAxis(7)}} },
+			Space: func(quick bool) Space { return Space{Axes: []Axis{Int64s("seed", Seq(7)...)}} },
 			Run: func(p Params) []Record {
 				var recs []Record
 				for i := 0; i <= int(p.Seed())%3; i++ {
@@ -343,7 +343,7 @@ func TestDecodeJSONErrors(t *testing.T) {
 }
 
 func TestSpaceExpansion(t *testing.T) {
-	sp := Space{Axes: []Axis{Floats("alpha", 1, 2), SeedAxis(3)}}
+	sp := Space{Axes: []Axis{Floats("alpha", 1, 2), Int64s("seed", Seq(3)...)}}
 	cells := sp.Cells()
 	if len(cells) != 6 {
 		t.Fatalf("got %d cells, want 6", len(cells))
